@@ -1,18 +1,20 @@
 """The program's lifecycle, measured: set-up, then cycles of fit, predict, serve, stream.
 
-Every run sets up its fixtures and then repeats one *cycle* — a fit round,
-a predict round, a serving chunk and a stream pass — so every run reports
-every end-to-end metric, and each metric comes from samples spread across
-the whole run rather than taken in one stretch.  Host speed drifts
-over seconds to minutes; interleaving the phases lets every metric see the
-same mix of slow and fast moments.  The number of cycles follows from
-``seconds`` alone (``CYCLE_SECONDS`` each), so a run does the same work on
-every commit and every metric has the same sample count.  The workload sets
-the two input properties the workloads differ in (see ``WORKLOADS``).
+Every run gets its fixtures (fitted once per version of the program and
+kept), deploys them three times (set-up), and then repeats one *cycle*:
+four fits, each followed by one ``predict_proba`` call, a serving chunk and
+a stream pass.  So every run reports every end-to-end metric, and each
+metric comes from samples spread across the whole run rather than taken in
+one stretch.  Host speed drifts over seconds to minutes; interleaving the
+phases lets every metric see the same mix of slow and fast moments.  The
+number of cycles follows from ``seconds`` alone (``CYCLE_SECONDS`` each), so
+a run does the same work on every commit and every metric has the same
+sample count.  The workload sets the two input properties the workloads
+differ in (see ``WORKLOADS``).
 
-Noise on a shared host only ever adds time, in bursts of a fraction of a
-second, so a per-operation timing is the fastest of its samples in the run:
-the median of a few samples still measures the neighbours.
+Noise on a shared host only ever adds time, in stretches of one to a few
+seconds, so a per-operation timing is the fastest of its samples in the
+run: the median of a few samples still measures the neighbours.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ import hashlib
 import os
 import pickle
 import resource
+import shutil
+import statistics
 import time
 from collections import defaultdict
 from dataclasses import dataclass, replace
@@ -32,11 +36,21 @@ from inputs import GLASS, IONOSPHERE, VEHICLE, Shape, make_table, poisson_offset
 from inputs import query_rows, serving_rows, stream_rows
 from serving import KeepAliveClient, Server, closed_loop, open_loop, scrape, tail_percentile
 
+HERE = Path(__file__).resolve().parent
+ROOT = HERE.parent
+
 #: Nominal seconds of one cycle; a run makes ``round(seconds / CYCLE_SECONDS)``.
-CYCLE_SECONDS = 12.0
+CYCLE_SECONDS = 8.0
 
 #: Model name of the served tree (its archive is ``<name>.zip``).
 SERVED_MODEL = "glass"
+
+#: (shape, strategy) of every fit of a cycle; UDT before UDT-ES on each shape.
+FITS = ((GLASS, "UDT"), (GLASS, "UDT-ES"), (IONOSPHERE, "UDT"), (IONOSPHERE, "UDT-ES"))
+
+#: Seed of the fixtures: the training tables, the forest's bootstraps and
+#: the stream are fixed, as the paper's tables are; ``--seed`` draws the rest.
+FIXTURE_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -45,17 +59,18 @@ class Sizes:
 
     samples: int = 100
     table_scale: float = 1.0
-    predict_rows: int = 4096
+    predict_rows: int = 512
     reference_rows: int = 256
     forest_members: int = 11
-    stream_rows: int = 1024
+    stream_rows: int = 384
     stream_batch: int = 64
     drift_quantile: float | None = 0.9
     serve_rate: float = 20.0
-    serve_requests: int = 75
-    closed_seconds: float = 0.6
+    serve_requests: int = 30
+    closed_seconds: float = 0.3
     hot_share: float = 0.25
     hot_rows: int = 8
+    deploys: int = 3
 
 
 #: workload -> the input properties it sets.  ``reuse`` exercises the
@@ -78,6 +93,16 @@ def _scaled(shape: Shape, scale: float) -> Shape:
                  shape.separation, shape.integer_domain)
 
 
+def _fixture_key(sizes: Sizes) -> str:
+    """Hash of the program's and the benchmark's source and the fixture sizes."""
+    digest = hashlib.sha256(repr((sizes.samples, sizes.table_scale,
+                                  sizes.forest_members)).encode())
+    for path in sorted([*(ROOT / "src" / "repro").rglob("*.py"), *HERE.glob("*.py")]):
+        digest.update(str(path.relative_to(ROOT)).encode())
+        digest.update(path.read_bytes())
+    return digest.hexdigest()[:16]
+
+
 def _digest(tree) -> str:
     return hashlib.sha256(repr(tree.structure_signature()).encode()).hexdigest()[:16]
 
@@ -85,7 +110,7 @@ def _digest(tree) -> str:
 class Lifecycle:
     """Fixtures and measurements of one run; ``recorder`` traces it."""
 
-    def __init__(self, workload: str, seed: int, sizes: Sizes, workdir: Path,
+    def __init__(self, workload: str, seed: int, sizes: Sizes, workdir: Path, cache: Path,
                  recorder=None):
         from repro.api.spec import gaussian
 
@@ -94,6 +119,7 @@ class Lifecycle:
         self.seed = seed
         self.sizes = sizes = replace(sizes, **WORKLOADS[workload])
         self.workdir = workdir
+        self.cache = cache
         self.recorder = recorder
         self.spec = gaussian(w=0.1, s=sizes.samples)
         self.attempted = 0
@@ -101,6 +127,7 @@ class Lifecycle:
         self.failures: list = []
         self.fit_times: dict = defaultdict(list)
         self.fig7: dict = {}
+        self.signatures: dict = {}
         self.predict_times: dict = defaultdict(list)
         self.predicted: list = []
         self.open_outcomes: list = []
@@ -109,7 +136,11 @@ class Lifecycle:
         self.batch_times: list = []
         self.stream_digests: list = []
         self.metrics: dict = {}
-        self.phase_seconds: dict = defaultdict(float)
+        #: phase -> the (start, end) ``perf_counter`` windows it ran in; the
+        #: clock is system-wide, so the server's spans fall in them too.
+        self.windows: dict = defaultdict(list)
+        self.setup_times: list = []
+        self.notes: list = []
         self.layers: dict = {}
         self.layer_bases: dict = {}
         self.server: Server | None = None
@@ -125,73 +156,97 @@ class Lifecycle:
 
     # -- set-up --------------------------------------------------------------
 
-    def setup(self) -> None:
+    def fit_fixtures(self) -> None:
+        """The fixed tables, and the served tree, the forest and the stream's base tree.
+
+        The models depend only on the program's source and the sizes, so they
+        are fitted once per version of the program and kept under ``cache``.
+        """
         from repro import UDTClassifier
-        from repro.api import persistence
         from repro.ensemble import UDTForestClassifier
 
         sizes = self.sizes
         self.tables = {
-            shape.name: make_table(_scaled(shape, sizes.table_scale), seed=0)
+            shape.name: make_table(_scaled(shape, sizes.table_scale), seed=FIXTURE_SEED)
             for shape in (GLASS, IONOSPHERE, VEHICLE)
         }
         X, y = self.tables[GLASS.name]
-        models_dir = self.workdir / "models"
-        models_dir.mkdir(parents=True)
-        tree = UDTClassifier(strategy="UDT-ES", spec=self.spec).fit(X, y)
-        tree.save(models_dir / f"{SERVED_MODEL}.zip")
-        # The server boots on the second core while this process fits the
-        # remaining fixtures; set-up ends when both are ready.
-        spans_path = self.workdir / "server-spans.json" if self.recorder else None
-        self.server = Server(models_dir, self.workdir / "server.log", spans_path)
-        forest = UDTForestClassifier(
-            strategy="UDT-ES", spec=self.spec, n_estimators=sizes.forest_members,
-            random_state=self.seed, n_jobs=1,
-        ).fit(X, y)
-        forest.save(self.workdir / "forest.zip")
-        self.tree = persistence.load_model(models_dir / f"{SERVED_MODEL}.zip")
-        self.forest = persistence.load_model(self.workdir / "forest.zip")
         XV, yV = self.tables[VEHICLE.name]
-        vehicle = UDTClassifier(strategy="UDT-ES", spec=self.spec).fit(XV, yV)
-        self.stream_base = pickle.dumps(vehicle)
-        self.stream = stream_rows(
-            XV, yV, sizes.stream_rows, self.seed, drift_quantile=sizes.drift_quantile
-        )
+        fixtures = self.cache / f"fixtures-{_fixture_key(sizes)}"
+        if not fixtures.is_dir():
+            partial = fixtures.with_name(fixtures.name + ".partial")
+            shutil.rmtree(partial, ignore_errors=True)
+            (partial / "models").mkdir(parents=True)
+            UDTClassifier(strategy="UDT-ES", spec=self.spec).fit(X, y).save(
+                partial / "models" / f"{SERVED_MODEL}.zip")
+            UDTForestClassifier(
+                strategy="UDT-ES", spec=self.spec, n_estimators=sizes.forest_members,
+                random_state=FIXTURE_SEED, n_jobs=1,
+            ).fit(X, y).save(partial / "forest.zip")
+            (partial / "vehicle.pickle").write_bytes(pickle.dumps(
+                UDTClassifier(strategy="UDT-ES", spec=self.spec).fit(XV, yV)))
+            partial.rename(fixtures)
+        self.models_dir = fixtures / "models"
+        self.forest_path = fixtures / "forest.zip"
+        self.stream_base = (fixtures / "vehicle.pickle").read_bytes()
+        self.stream = stream_rows(XV, yV, sizes.stream_rows, FIXTURE_SEED,
+                                  drift_quantile=sizes.drift_quantile)
         self.queries = query_rows(X, sizes.predict_rows, self.seed, "predict")
-        self.server.wait_ready()
 
-    # -- fit -----------------------------------------------------------------
+    def deploy(self, index: int) -> None:
+        """Load both archives and start ``repro serve`` until ``/healthz`` answers.
 
-    def fit_round(self) -> None:
-        """UDT and UDT-ES on the Glass and Ionosphere shapes, one fit each."""
+        The server boots on the second core while this process loads the
+        archives.  Only the last deploy's server stays up for the cycles.
+        """
+        from repro.api import persistence
+
+        last = index == self.sizes.deploys - 1
+        spans_path = self.workdir / f"server-spans-{index}.json" if self.recorder else None
+        start = time.perf_counter()
+        server = Server(self.models_dir, self.workdir / "server.log", spans_path)
+        try:
+            self.tree = persistence.load_model(self.models_dir / f"{SERVED_MODEL}.zip")
+            self.forest = persistence.load_model(self.forest_path)
+            server.wait_ready()
+        except BaseException:
+            server.stop()
+            raise
+        end = time.perf_counter()
+        self.windows["setup"] = [(start, end)]
+        if last:
+            self.server = server
+        else:
+            server.stop()
+        self.setup_times.append(end - start)
+
+    # -- fit and predict -------------------------------------------------------
+
+    def fit_one(self, shape: Shape, strategy: str) -> None:
+        """One ``fit`` of ``strategy`` on ``shape``'s table, checked against UDT's tree."""
         from repro import UDTClassifier
 
-        for shape in (GLASS, IONOSPHERE):
-            X, y = self.tables[shape.name]
-            signatures = {}
-            for strategy in ("UDT", "UDT-ES"):
-                start = time.perf_counter()
-                model = UDTClassifier(strategy=strategy, spec=self.spec).fit(X, y)
-                self.fit_times[(shape.name, strategy)].append(time.perf_counter() - start)
-                search = model.build_stats_.split_search
-                counts = (model.build_stats_.total_entropy_like_calculations,
-                          search.lower_bound_evaluations, search.intervals_pruned_by_bound)
-                first = self.fig7.setdefault((shape.name, strategy), counts)
-                signatures[strategy] = model.tree_.structure_signature()
-                same_tree = signatures[strategy] == signatures["UDT"]
-                self._check(first == counts and same_tree,
-                            f"fit {shape.name} {strategy}: counts {counts} vs {first}, "
-                            f"tree equal to UDT: {same_tree}")
+        X, y = self.tables[shape.name]
+        start = time.perf_counter()
+        model = UDTClassifier(strategy=strategy, spec=self.spec).fit(X, y)
+        self.fit_times[(shape.name, strategy)].append(time.perf_counter() - start)
+        search = model.build_stats_.split_search
+        counts = (model.build_stats_.total_entropy_like_calculations,
+                  search.lower_bound_evaluations, search.intervals_pruned_by_bound)
+        first = self.fig7.setdefault((shape.name, strategy), counts)
+        signature = model.tree_.structure_signature()
+        same_tree = self.signatures.setdefault(shape.name, signature) == signature
+        self._check(first == counts and same_tree,
+                    f"fit {shape.name} {strategy}: counts {counts} vs {first}, "
+                    f"tree equal to UDT: {same_tree}")
 
-    # -- predict -------------------------------------------------------------
-
-    def predict_round(self) -> None:
-        """``predict_proba`` on one batch, for the tree and for the forest."""
-        for name, model in (("tree", self.tree), ("forest", self.forest)):
-            start = time.perf_counter()
-            probabilities = model.predict_proba(self.queries)
-            self.predict_times[name].append(time.perf_counter() - start)
-            self.predicted.append((name, probabilities))
+    def predict_one(self, name: str) -> None:
+        """``predict_proba`` on the batch, for the tree or for the forest."""
+        model = self.tree if name == "tree" else self.forest
+        start = time.perf_counter()
+        probabilities = model.predict_proba(self.queries)
+        self.predict_times[name].append(time.perf_counter() - start)
+        self.predicted.append((name, probabilities))
 
     def check_predictions(self) -> None:
         """Array path against the object path on a seeded sample of rows."""
@@ -250,16 +305,19 @@ class Lifecycle:
         from repro.api import persistence
 
         engine = scrape(self.server)
-        server_peak_mb = self.server.peak_rss_mb()
+        self.metrics["peak_rss_mb"] = self.server.peak_rss_mb()
         self.server.stop()
         if self.recorder is not None:
             from tracing import load_spans
 
-            self.server_spans = load_spans(self.workdir / "server-spans.json")
+            self.server_spans = load_spans(
+                self.workdir / f"server-spans-{self.sizes.deploys - 1}.json")
 
-        offline = persistence.load_model(self.workdir / "models" / f"{SERVED_MODEL}.zip")
-        expected = offline.predict_proba(self.rows)
-        for outcome in self.warm + self.open_outcomes + self.closed_outcomes:
+        offline = persistence.load_model(self.models_dir / f"{SERVED_MODEL}.zip")
+        outcomes = self.warm + self.open_outcomes + self.closed_outcomes
+        served = sorted({outcome.row for outcome in outcomes})
+        expected = dict(zip(served, offline.predict_proba(self.rows[served])))
+        for outcome in outcomes:
             ok = outcome.status == 200 and np.array_equal(
                 np.asarray(outcome.probabilities), expected[outcome.row])
             self._check(ok, f"serve row {outcome.row}: status {outcome.status}")
@@ -270,11 +328,10 @@ class Lifecycle:
         self.metrics["serve_p50_ms"] = float(np.percentile(latencies, 50))
         self.metrics["serve_tail_ms"] = float(np.percentile(latencies, tail))
         self.metrics["serve_capacity_rps"] = completed / self.closed_seconds
-        self.serve_notes = (
+        self.notes.append(
             f"serve_tail_ms is p{tail:g} of {len(latencies)} open-loop requests at "
             f"{self.sizes.serve_rate:g}/s on {self.connections} connection(s); capacity "
-            f"from {len(self.closed_outcomes)} closed-loop requests; server peak RSS "
-            f"{server_peak_mb:.1f} MiB")
+            f"from {len(self.closed_outcomes)} closed-loop requests")
         # Back to back on a kept-alive connection is where the transport
         # stalls; the open loop's gaps often let the connection idle past it.
         closed_p50_ms = float(np.median(
@@ -299,7 +356,7 @@ class Lifecycle:
     # -- stream --------------------------------------------------------------
 
     def stream_pass(self) -> None:
-        """The seeded stream, in batches, into a fresh copy of the Vehicle tree."""
+        """The fixed stream, in batches, into a fresh copy of the Vehicle tree."""
         model = pickle.loads(self.stream_base)
         X, y = self.stream
         step = self.sizes.stream_batch
@@ -321,19 +378,24 @@ class Lifecycle:
     def _timed(self, phase: str, unit, *args) -> None:
         start = time.perf_counter()
         unit(*args)
-        self.phase_seconds[phase] += time.perf_counter() - start
+        self.windows[phase].append((start, time.perf_counter()))
 
     def run(self, seconds: float) -> dict:
         """Set up, then ``round(seconds / CYCLE_SECONDS)`` cycles (at least one)."""
         cycles = max(1, round(seconds / CYCLE_SECONDS))
-        start = time.perf_counter()
         try:
-            self.setup()
-            self.metrics["setup_s"] = time.perf_counter() - start
+            start = time.perf_counter()
+            self.fit_fixtures()
+            fixtures_s = time.perf_counter() - start
+            self.workdir.mkdir(parents=True, exist_ok=True)
+            for index in range(self.sizes.deploys):
+                self.deploy(index)
             self.serve_start(cycles)
             for cycle in range(cycles):
-                self._timed("fit", self.fit_round)
-                self._timed("predict", self.predict_round)
+                # A predict call follows each fit, so both sample the whole cycle.
+                for number, (shape, strategy) in enumerate(FITS):
+                    self._timed("fit", self.fit_one, shape, strategy)
+                    self._timed("predict", self.predict_one, ("tree", "forest")[number % 2])
                 self._timed("serve", self.serve_chunk, cycle)
                 self._timed("stream", self.stream_pass)
             self.serve_finish()
@@ -341,6 +403,7 @@ class Lifecycle:
         finally:
             if self.server is not None:
                 self.server.stop()
+        self.metrics["setup_s"] = statistics.median(self.setup_times)
         for (shape, strategy), times in self.fit_times.items():
             key = {"Glass": "glass", "Ionosphere": "iono"}[shape]
             suffix = "udt" if strategy == "UDT" else "es"
@@ -352,8 +415,16 @@ class Lifecycle:
         per_batch = np.min(np.reshape(self.batch_times, (len(self.stream_digests), -1)), axis=0)
         self.metrics["update_rows_s"] = len(self.stream[1]) / float(per_batch.sum())
         self.metrics["update_p50_ms"] = float(np.median(per_batch)) * 1e3
-        self.metrics["peak_rss_mb"] = (
-            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0)
+        phase_seconds = {phase: sum(end - begin for begin, end in spans)
+                         for phase, spans in self.windows.items() if phase != "setup"}
+        self.notes += [
+            f"{cycles} cycle(s); phase seconds: fixtures {fixtures_s:.1f}, " + ", ".join(
+                f"{phase} {elapsed:.1f}" for phase, elapsed in phase_seconds.items()),
+            "setup_s is the median of deploys reading " + ", ".join(
+                f"{elapsed:.3f}" for elapsed in self.setup_times) + " s",
+            "peak RSS of the benchmark process "
+            f"{resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0:.1f} MiB",
+        ]
         return self.metrics
 
     def counts(self) -> dict:

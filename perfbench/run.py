@@ -2,15 +2,16 @@
 
 Usage (from the repository root)::
 
-    python3 perfbench/run.py --workload reuse --seed 1 --seconds 24 --trace 0
+    python3 perfbench/run.py --workload reuse --seed 1 --seconds 48 --trace 0
 
-Every run builds its fixtures from ``--seed``, passes through all four
-phases (see ``lifecycle.py``) and prints the metrics, then one JSON line
+Every run sets up its fixtures, passes through all four phases (see
+``lifecycle.py``) and prints the metrics, then one JSON line
 ``{"correct", "attempted", "failed", "metrics"}`` as the last line of
 standard output.  ``--trace 0`` reports the end-to-end metrics;
-``--trace 1`` reports the per-layer metrics of a traced pass, writes its
-spans to ``.bench_build/perfbench/`` and compares it with an untraced pass
-to give the tracing overhead.  See ``README.md`` for what each metric means.
+``--trace 1`` reports the per-layer metrics of a traced pass over half the
+cycles, writes its spans to ``.bench_build/perfbench/`` and compares it with
+an untraced pass over the other half to give the tracing overhead.  See
+``README.md`` for what each metric means.
 """
 
 from __future__ import annotations
@@ -88,47 +89,65 @@ def _import_program() -> None:
     sys.path[:0] = [str(source), str(HERE)]
 
 
+#: per-layer metric group -> the phases whose metrics it explains; its
+#: spans are counted only in those phases' windows (see README.md).
+PHASES = {
+    "spec": ("fit", "predict", "stream"),
+    "columnar": ("fit", "predict"),
+    "fit": ("fit",),
+    "builder": ("fit", "stream"),
+    "predict": ("predict",),
+    "stream": ("stream",),
+    "setup": ("setup",),
+}
+
+
 def per_layer(lifecycle, spans: list, overhead_pct: float) -> tuple:
     """``(values, bases)``: the per-layer table of one traced pass."""
     from tracing import layer_times
 
-    times: dict = {}
-    for process_spans in spans:
-        for key, value in layer_times(process_spans).items():
-            times[key] = times.get(key, 0.0) + value
-    get = lambda key: times.get(key, 0.0)  # noqa: E731
-    materialise = get("spec.build_dataset.total") + get("spec.compute_extents.total")
-    cells = get("spec.build_dataset.value")
+    def phase_times(group: str):
+        windows = [window for phase in PHASES[group] for window in lifecycle.windows[phase]]
+        times: dict = {}
+        for process_spans in spans:
+            for key, value in layer_times(process_spans, windows).items():
+                times[key] = times.get(key, 0.0) + value
+        return lambda key: times.get(key, 0.0)
+
+    spec, columnar, fit, builder, predict, stream, setup = map(phase_times, PHASES)
+    materialise = spec("spec.build_dataset.total") + spec("spec.compute_extents.total")
+    cells = spec("spec.build_dataset.value")
     es = [counts for (_, strategy), counts in lifecycle.fig7.items() if strategy == "UDT-ES"]
     bound_tests = sum(counts[1] for counts in es)
+    passes = len(lifecycle.stream_digests)
     resplits = lifecycle.stream_digests[0][1]
-    gain_checks = get("builder.root_split_gain.calls")
+    gain_checks = stream("builder.root_split_gain.calls") / passes
     values = {
         "spec.materialise_s": materialise,
         "spec.cells": cells,
         "spec.us_per_cell": materialise / cells * 1e6 if cells else 0.0,
-        "columnar.store_s": get("columnar.from_dataset.total"),
-        "columnar.contexts_s": get("columnar.build_contexts.total"),
-        "columnar.contexts_calls": get("columnar.build_contexts.calls"),
-        "columnar.partition_s": get("partition.fit"),
-        "strategies.search_s": get("strategies.find_best_split.self"),
-        "strategies.bounds_s": get("strategies.build_interval_table.total"),
-        "strategies.sweeps_s": get("strategies.prepare_sweep_group.total"),
+        "columnar.store_s": columnar("columnar.from_dataset.total"),
+        "columnar.contexts_s": columnar("columnar.build_contexts.total"),
+        "columnar.contexts_calls": columnar("columnar.build_contexts.calls"),
+        "columnar.partition_s": fit("partition.fit"),
+        "strategies.search_s": fit("strategies.find_best_split.self"),
+        "strategies.bounds_s": fit("strategies.build_interval_table.total"),
+        "strategies.sweeps_s": fit("strategies.prepare_sweep_group.total"),
         "strategies.entropy_calcs": sum(counts[0] for counts in es),
         "strategies.lower_bounds": bound_tests,
         "strategies.pruned_ratio":
             sum(counts[2] for counts in es) / bound_tests if bound_tests else 0.0,
-        "postprune.s": get("postprune.pessimistic_prune.total"),
-        "builder.self_s": get("builder.build.self"),
-        "tree.descend_s": get("tree.classify_batch.self"),
-        "forest.members_descended": get("forest.members"),
+        "postprune.s": fit("postprune.pessimistic_prune.total"),
+        "builder.self_s": builder("builder.build.self"),
+        "tree.descend_s": predict("tree.classify_batch.self"),
+        "forest.members_descended": predict("forest.members"),
         **lifecycle.layers,
-        "stream.partial_fit_s": get("tree.partial_fit.total"),
+        "stream.partial_fit_s": stream("tree.partial_fit.total"),
         "stream.resplits": resplits,
         "stream.gain_checks": gain_checks,
-        "stream.gain_check_s": get("builder.root_split_gain.total"),
+        "stream.gain_check_s": stream("builder.root_split_gain.total"),
         "stream.resplit_accept_ratio": resplits / gain_checks if gain_checks else 0.0,
-        "persistence.load_s": get("persistence.load_model.total"),
+        "persistence.load_s": setup("persistence.load_model.total"),
         "trace.overhead_pct": overhead_pct,
     }
     bases = dict(lifecycle.layer_bases)
@@ -137,8 +156,11 @@ def per_layer(lifecycle, spans: list, overhead_pct: float) -> tuple:
         "strategies.entropy_calcs": "both UDT-ES fits of one fit round (Fig. 7 count)",
         "strategies.lower_bounds": "both UDT-ES fits of one fit round",
         "strategies.pruned_ratio": f"intervals pruned / {bound_tests} lower-bound tests",
+        "stream.resplits": "one stream pass",
+        "stream.gain_checks": "one stream pass",
         "stream.resplit_accept_ratio": f"{resplits} re-splits / {gain_checks:.0f} gain checks",
         "forest.members_descended": "classify_batch calls under forest predict_proba",
+        "persistence.load_s": "the last deploy: both archives here, the preload in the server",
     })
     return values, bases
 
@@ -180,12 +202,12 @@ def run(workload: str, seed: int, seconds: float, trace: bool, sizes=None,
             recorder = Recorder()
             recorder.install()
             try:
-                traced = Lifecycle(workload, seed, sizes, workdir / "traced", recorder)
-                traced.run(0.0)
+                traced = Lifecycle(workload, seed, sizes, workdir / "traced", state, recorder)
+                traced.run(seconds / 2)
             finally:
                 recorder.uninstall()
-            plain = Lifecycle(workload, seed, sizes, workdir / "plain")
-            plain.run(0.0)
+            plain = Lifecycle(workload, seed, sizes, workdir / "plain", state)
+            plain.run(seconds / 2)
             runs = [traced, plain]
             spans = [recorder.finished(), traced.server_spans]
             spans_path = state / f"spans-{workload}-seed{seed}.json"
@@ -194,11 +216,13 @@ def run(workload: str, seed: int, seconds: float, trace: bool, sizes=None,
             values, bases = per_layer(traced, spans, median_pct)
             units = PER_LAYER
             print(f"spans: {spans_path}")
+            print(f"per-layer seconds and calls are totals over the traced pass's "
+                  f"{len(traced.stream_digests)} cycle(s)")
             print("tracing overhead per end-to-end metric (traced vs untraced pass):")
             for name, share in shares.items():
                 print(f"  {name:24s} {share:+7.1f} %")
         else:
-            lifecycle = Lifecycle(workload, seed, sizes, workdir)
+            lifecycle = Lifecycle(workload, seed, sizes, workdir, state)
             values = lifecycle.run(seconds)
             runs = [lifecycle]
             bases = {}
@@ -211,9 +235,9 @@ def run(workload: str, seed: int, seconds: float, trace: bool, sizes=None,
     if not _check_counts(f"{workload}-seed{seed}", runs[0].counts(), state):
         failed += 1
         failures.append("Fig. 7 counts or stream re-splits differ from an earlier run")
-    print(f"workload {workload}, seed {seed}: {runs[0].serve_notes}")
-    print("phase seconds: " + ", ".join(
-        f"{phase} {elapsed:.1f}" for phase, elapsed in runs[0].phase_seconds.items()))
+    print(f"workload {workload}, seed {seed}:")
+    for note in runs[0].notes:
+        print(f"  {note}")
     for name, unit in units.items():
         base = f"  ({bases[name]})" if name in bases else ""
         print(f"  {name:28s} {values[name]:14.4f} {unit}{base}")

@@ -26,13 +26,9 @@ TARGETS = (
     ("columnar.build_contexts", "repro.core.columnar", "ColumnarPdfStore", "build_contexts"),
     ("columnar.split_numerical", "repro.core.columnar", "ColumnarPdfStore", "split_numerical"),
     ("strategies.find_best_split", "repro.core.strategies", "UDTStrategy", "find_best_split"),
-    ("strategies.find_best_split", "repro.core.strategies", "UDTBPStrategy", "find_best_split"),
-    ("strategies.find_best_split", "repro.core.strategies", "_BoundPruningStrategy",
-     "find_best_split"),
     ("strategies.find_best_split", "repro.core.strategies", "UDTESStrategy", "find_best_split"),
     ("strategies.build_interval_table", "repro.core.strategies", None, "build_interval_table"),
     ("strategies.prepare_sweep_group", "repro.core.strategies", None, "prepare_sweep_group"),
-    ("strategies.prepare_sweep_group", "repro.core.splits", None, "prepare_sweep_group"),
     ("postprune.pessimistic_prune", "repro.core.builder", None, "pessimistic_prune"),
     ("builder.build", "repro.core.builder", "TreeBuilder", "build"),
     ("builder.root_split_gain", "repro.core.builder", "TreeBuilder", "root_split_gain"),
@@ -136,10 +132,12 @@ def load_spans(path) -> list:
         return [tuple(span) for span in json.load(handle)]
 
 
-def layer_times(spans: list) -> dict:
-    """Per-layer busy times and counts from one process's spans.
+def layer_times(spans: list, windows: list) -> dict:
+    """Per-layer busy times and counts of one process's spans in ``windows``.
 
-    Self time is a span's duration minus the time of its direct children.
+    A span counts when it starts inside one of the ``(start, end)`` windows,
+    so each figure covers the same phases as the metric it explains.  Self
+    time is a span's duration minus the time of its direct children.
     Partitioning under ``classify_batch`` is descent, not training, so it
     counts toward ``tree.descend_s`` and only partitioning under
     ``builder.build`` counts toward ``columnar.partition_s``.
@@ -163,6 +161,8 @@ def layer_times(spans: list) -> dict:
         totals[key] = totals.get(key, 0.0) + amount
 
     for index, (name, start, end, parent, value) in enumerate(spans):
+        if not any(begin <= start < stop for begin, stop in windows):
+            continue
         duration = end - start
         add(f"{name}.total", duration)
         add(f"{name}.self", duration - children[index])
