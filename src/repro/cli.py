@@ -211,7 +211,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-batch", type=_positive_int, default=64,
                        help="rows per coalesced predict_batch call")
     serve.add_argument("--max-wait-ms", type=float, default=2.0,
-                       help="how long the coalescer lingers for more requests")
+                       help="upper bound on how long the coalescer lingers for "
+                            "more requests; it lingers only while other "
+                            "requests are being admitted, so a lone request "
+                            "is answered at once")
     serve.add_argument("--max-queue-rows", type=int, default=None,
                        help="admission-control bound on queued rows; beyond it new "
                             "requests are rejected with HTTP 429 + Retry-After "

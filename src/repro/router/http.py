@@ -41,10 +41,6 @@ Endpoints (all JSON unless negotiated otherwise):
 
 from __future__ import annotations
 
-import json
-import math
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-
 from repro.exceptions import ServingError
 from repro.obs.log import get_logger
 from repro.obs.trace import (
@@ -55,79 +51,28 @@ from repro.obs.trace import (
     debug_traces_payload,
 )
 from repro.router.core import Router
-from repro.serve.http import negotiate_metrics_format
+from repro.serve.http import (
+    JSONHTTPServer,
+    JSONRequestHandler,
+    negotiate_metrics_format,
+)
 from repro.serve.metrics import PROMETHEUS_CONTENT_TYPE
 
 __all__ = ["RouterHTTPServer", "create_router"]
 
 _log = get_logger(__name__)
 
-#: Maximum accepted request-body size (64 MiB), matching the serving tier.
-_MAX_BODY_BYTES = 64 * 1024 * 1024
 
+class _Handler(JSONRequestHandler):
+    """Routes requests into the shared :class:`Router`.
 
-class _Handler(BaseHTTPRequestHandler):
-    """Routes requests into the shared :class:`Router`."""
+    A :class:`~repro.exceptions.ServingError` without a status is an
+    upstream failure here, hence 502.
+    """
 
-    protocol_version = "HTTP/1.1"
     server: "RouterHTTPServer"
-
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        if self.server.verbose:
-            _log.info(
-                "http_access",
-                client=self.address_string(),
-                request=format % args,
-            )
-
-    def _send_json(self, status: int, payload: dict, *, headers: "dict | None" = None) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        for key, value in (headers or {}).items():
-            self.send_header(key, value)
-        if status >= 400:
-            # Same keep-alive hygiene as the serving tier: an error sent
-            # before the body was drained must not poison the connection.
-            self.send_header("Connection", "close")
-            self.close_connection = True
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_text(self, status: int, body: str, content_type: str) -> None:
-        encoded = body.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(encoded)))
-        self.end_headers()
-        self.wfile.write(encoded)
-
-    def _send_serving_error(
-        self, exc: ServingError, *, headers: "dict | None" = None
-    ) -> None:
-        payload: dict = {"error": str(exc)}
-        merged: dict = dict(headers or {})
-        if exc.retry_after is not None:
-            payload["retry_after_s"] = float(exc.retry_after)
-            merged["Retry-After"] = str(max(1, math.ceil(exc.retry_after)))
-        status = exc.status or 502
-        self._send_json(status, payload, headers=merged)
-
-    def _read_json_body(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length <= 0:
-            raise ServingError("request body is empty; send a JSON object", status=400)
-        if length > _MAX_BODY_BYTES:
-            raise ServingError(f"request body exceeds {_MAX_BODY_BYTES} bytes", status=413)
-        raw = self.rfile.read(length)
-        try:
-            payload = json.loads(raw)
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ServingError(f"request body is not valid JSON: {exc}", status=400) from exc
-        if not isinstance(payload, dict):
-            raise ServingError("request body must be a JSON object", status=400)
-        return payload
+    default_error_status = 502
+    access_log = _log
 
     # -- routes --------------------------------------------------------------
 
@@ -256,11 +201,8 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json(500, {"error": f"{type(exc).__name__}: {exc}"})
 
 
-class RouterHTTPServer(ThreadingHTTPServer):
+class RouterHTTPServer(JSONHTTPServer):
     """Threading HTTP server bound to one :class:`Router`."""
-
-    daemon_threads = True
-    allow_reuse_address = True
 
     def __init__(
         self,
@@ -277,11 +219,6 @@ class RouterHTTPServer(ThreadingHTTPServer):
         # edge needs no flags of its own.
         self.tracer = tracer if tracer is not None else Tracer("router")
         super().__init__(address, _Handler)
-
-    @property
-    def url(self) -> str:
-        host, port = self.server_address[:2]
-        return f"http://{host}:{port}"
 
     def close(self) -> None:
         """Shut down the listener, the health prober and the sync loop."""

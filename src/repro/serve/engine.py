@@ -42,8 +42,10 @@ Guarantees:
   per-model backlog and rejection counts are visible in ``/metrics``
   (``queue.rows_by_model``, ``requests_rejected_by_model``).
 
-Tuning knobs: ``max_batch`` (rows per coalesced call), ``max_wait_ms`` (how
-long the coalescer lingers for stragglers once a request is queued),
+Tuning knobs: ``max_batch`` (rows per coalesced call), ``max_wait_ms`` (the
+upper bound on how long the coalescer lingers for stragglers once a request
+is queued — it lingers only while other callers are being admitted, so a
+lone request is batched at once),
 ``max_queue_rows`` / ``max_queue_rows_per_model`` (admission-control
 bounds), ``request_timeout_s``,
 ``cache_size`` (LRU entries per model) and ``cache_decimals``.  Cache keys
@@ -230,6 +232,11 @@ class InferenceEngine:
         # instead of rescanning the whole queue on every wakeup.
         self._queued_rows: dict[str, int] = {}
         self._total_queued_rows = 0
+        # Callers that entered a predict path but have not yet enqueued,
+        # been answered from the cache, or failed.  The coalescer lingers
+        # only while this is non-zero: a straggler worth waiting for is one
+        # already on its way, so a lone request is batched at once.
+        self._admitting = 0
         # Suggested client back-off when shedding: roughly one coalescer
         # linger period, floored so the header never rounds to "now".
         self._retry_after_s = max(0.1, 2.0 * max_wait_ms / 1e3)
@@ -362,54 +369,79 @@ class InferenceEngine:
         """
         if self._closed:
             raise ServingError("the inference engine is closed", status=503)
-        model = self.registry.get(model_name)
-        self.metrics.set_model_generation(
-            model_name, getattr(model, "update_generation_", 0) or 0
-        )
-        n_features = int(model.n_features_in_)
-        matrix = self._as_matrix(rows, n_features)
-        n_rows = matrix.shape[0]
-        if n_rows == 0:
-            return model, np.zeros((0, len(model.classes_)))
+        self._enter_admission()
+        pending = None
+        try:
+            model = self.registry.get(model_name)
+            self.metrics.set_model_generation(
+                model_name, getattr(model, "update_generation_", 0) or 0
+            )
+            n_features = int(model.n_features_in_)
+            matrix = self._as_matrix(rows, n_features)
+            n_rows = matrix.shape[0]
+            if n_rows == 0:
+                return model, np.zeros((0, len(model.classes_)))
 
-        cache = self._cache_for(model_name, model)
-        results: list = [None] * n_rows
-        miss_positions = list(range(n_rows))
-        keys: list = []
-        if cache is not None:
-            lookup_wall = time.time()
-            lookup_perf = time.perf_counter()
-            keys = [self._cache_key(row) for row in matrix]
-            hits = 0
-            miss_positions = []
-            with self._cache_lock:
-                for position, key in enumerate(keys):
-                    cached = cache.get(key)
-                    if cached is not None:
-                        cache.move_to_end(key)
-                        results[position] = cached
-                        hits += 1
-                    else:
-                        miss_positions.append(position)
-            self.metrics.record_cache(hits=hits, misses=len(miss_positions))
-            if trace:
-                trace.record(
-                    "cache_lookup",
-                    start_s=lookup_wall,
-                    duration_s=time.perf_counter() - lookup_perf,
-                    model=model_name,
-                    tags={"hits": hits, "misses": len(miss_positions)},
-                )
+            cache = self._cache_for(model_name, model)
+            results: list = [None] * n_rows
+            miss_positions = list(range(n_rows))
+            keys: list = []
+            if cache is not None:
+                lookup_wall = time.time()
+                lookup_perf = time.perf_counter()
+                keys = [self._cache_key(row) for row in matrix]
+                hits = 0
+                miss_positions = []
+                with self._cache_lock:
+                    for position, key in enumerate(keys):
+                        cached = cache.get(key)
+                        if cached is not None:
+                            cache.move_to_end(key)
+                            results[position] = cached
+                            hits += 1
+                        else:
+                            miss_positions.append(position)
+                self.metrics.record_cache(hits=hits, misses=len(miss_positions))
+                if trace:
+                    trace.record(
+                        "cache_lookup",
+                        start_s=lookup_wall,
+                        duration_s=time.perf_counter() - lookup_perf,
+                        model=model_name,
+                        tags={"hits": hits, "misses": len(miss_positions)},
+                    )
 
-        if miss_positions:
-            pending = _Pending(matrix[miss_positions], model, trace=trace)
-            self._enqueue_and_wait(model_name, pending)
-            assert pending.result is not None
-            for offset, position in enumerate(miss_positions):
-                results[position] = pending.result[offset]
-                if cache is not None:
-                    self._cache_put(cache, keys[position], pending.result[offset])
-        return model, np.stack(results)
+            if miss_positions:
+                pending = _Pending(matrix[miss_positions], model, trace=trace)
+                self._enqueue_and_wait(model_name, pending)
+                assert pending.result is not None
+                for offset, position in enumerate(miss_positions):
+                    results[position] = pending.result[offset]
+                    if cache is not None:
+                        self._cache_put(cache, keys[position], pending.result[offset])
+            return model, np.stack(results)
+        finally:
+            if pending is None:
+                # Answered without the queue (no rows, every row cached) or
+                # failed before reaching it.
+                self._leave_admission()
+
+    def _enter_admission(self) -> None:
+        """Count the caller as on its way to the queue (see ``_admitting``)."""
+        with self._condition:
+            self._admitting += 1
+
+    def _leave_admission(self) -> None:
+        """End a caller's admission; wakes the coalescer when none is left.
+
+        Re-entrant, so :meth:`_enqueue_and_wait` can end the count under
+        the same lock hold as its enqueue or 429: the coalescer never sees
+        a request counted both as on its way and as queued.
+        """
+        with self._condition:
+            self._admitting -= 1
+            if not self._admitting:
+                self._condition.notify_all()
 
     def _enqueue_and_wait(self, model_name: str, pending: _Pending) -> None:
         """Admit ``pending`` into the queue and block until it is served.
@@ -417,10 +449,12 @@ class InferenceEngine:
         Shared by the probability and member-vote paths: admission control
         (shared bound + per-model quota, both shedding with 429 at enqueue
         time), the timeout/cancellation dance, and error delivery are
-        identical for both kinds of batch.
+        identical for both kinds of batch.  The caller's admission count
+        ends here, whether the request is queued or shed.
         """
         n_missing = len(pending.rows)
         with self._condition:
+            self._leave_admission()
             if self._closed:
                 raise ServingError("the inference engine is closed", status=503)
             if (
@@ -523,35 +557,41 @@ class InferenceEngine:
         """
         if self._closed:
             raise ServingError("the inference engine is closed", status=503)
-        model = self.registry.get(model_name)
-        self.metrics.set_model_generation(
-            model_name, getattr(model, "update_generation_", 0) or 0
-        )
-        if not hasattr(model, "member_votes"):
-            raise ServingError(
-                f"model {model_name!r} is not a forest; member votes are only "
-                "defined for kind: \"forest\" models",
-                status=400,
-            )
-        matrix = self._as_matrix(rows, int(model.n_features_in_))
+        self._enter_admission()
+        pending = None
         try:
-            selected = tuple(model._resolve_members(members))
-        except TreeError as exc:
-            raise ServingError(str(exc), status=400) from exc
-        classes = json_scalars(model.classes_)
-        n_members_total = len(model.trees_)
-        if matrix.shape[0] == 0 or not selected:
-            # Nothing to classify: answer from the snapshot without waking
-            # the coalescer (shape matches member_votes exactly).
-            return (
-                np.zeros((len(selected), matrix.shape[0], len(model.classes_))),
-                classes,
-                n_members_total,
+            model = self.registry.get(model_name)
+            self.metrics.set_model_generation(
+                model_name, getattr(model, "update_generation_", 0) or 0
             )
-        pending = _Pending(
-            matrix, model, batch_key=("votes", selected), trace=trace
-        )
-        self._enqueue_and_wait(model_name, pending)
+            if not hasattr(model, "member_votes"):
+                raise ServingError(
+                    f"model {model_name!r} is not a forest; member votes are only "
+                    "defined for kind: \"forest\" models",
+                    status=400,
+                )
+            matrix = self._as_matrix(rows, int(model.n_features_in_))
+            try:
+                selected = tuple(model._resolve_members(members))
+            except TreeError as exc:
+                raise ServingError(str(exc), status=400) from exc
+            classes = json_scalars(model.classes_)
+            n_members_total = len(model.trees_)
+            if matrix.shape[0] == 0 or not selected:
+                # Nothing to classify: answer from the snapshot without waking
+                # the coalescer (shape matches member_votes exactly).
+                return (
+                    np.zeros((len(selected), matrix.shape[0], len(model.classes_))),
+                    classes,
+                    n_members_total,
+                )
+            pending = _Pending(
+                matrix, model, batch_key=("votes", selected), trace=trace
+            )
+            self._enqueue_and_wait(model_name, pending)
+        finally:
+            if pending is None:
+                self._leave_admission()
         assert pending.result is not None
         return pending.result, classes, n_members_total
 
@@ -688,13 +728,16 @@ class InferenceEngine:
                 linger_wall = time.time()
                 linger_perf = time.perf_counter()
                 if self.max_wait_ms > 0 and self.max_batch > 1:
-                    # Linger for stragglers: better batches at the cost of at
-                    # most max_wait_ms extra latency for the first request.
-                    # The O(1) counter excludes cancelled rows, so the loop
+                    # Linger for stragglers, but only while another caller
+                    # is being admitted: better batches at the cost of at
+                    # most max_wait_ms extra latency for the first request,
+                    # and none at all when nobody else is on the way.  The
+                    # O(1) counter excludes cancelled rows, so the loop
                     # never waits for a batch made of work nobody wants.
                     deadline = time.monotonic() + self.max_wait_ms / 1e3
                     while (
                         not self._closed
+                        and self._admitting
                         and self._queued_rows.get(name, 0) < self.max_batch
                     ):
                         remaining = deadline - time.monotonic()

@@ -183,10 +183,10 @@ def test_sigterm_unlinks_shared_memory_segments(model_dir):
 def test_overload_sheds_with_429_over_real_sockets(model_dir):
     """Clients ≫ capacity: fast 429s with Retry-After, served rows exact.
 
-    The server coalescer lingers 400 ms for a 64-row batch while the queue
-    only admits 4 rows, so 16 concurrent single-row clients (all arriving
-    well within the linger window) guarantee rejections: at most 4 are
-    queued, the rest are shed at enqueue time.
+    The server coalescer lingers up to 400 ms for a 64-row batch while other
+    requests are still being admitted, and the queue only admits 4 rows, so
+    16 concurrent single-row clients (arriving together) get rejections: at
+    most 4 are queued, the rest are shed at enqueue time.
     """
     offline = load_model(model_dir / "smoke.zip")
     rows = np.random.default_rng(53).normal(size=(16, 3))

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import os
+import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from repro.exceptions import ServingError
+from repro.obs.trace import Tracer
 from repro.serve import InferenceEngine, ModelRegistry
 
 
@@ -145,6 +148,69 @@ class TestCoalescing:
         # Coalescing happened: fewer model invocations than requests.
         assert snapshot["batch_count"] < len(serving_rows)
         assert sum(snapshot["batch_size_histogram"].values()) == snapshot["batch_count"]
+
+    def test_lone_request_is_batched_at_once(self, registry, serving_rows):
+        # No other caller is being admitted, so there is no straggler to
+        # linger for: max_wait_ms only caps the wait, it is not spent.
+        tracer = Tracer("serve", sample_rate=1.0)
+        with make_engine(registry, max_batch=64, max_wait_ms=500.0) as engine:
+            engine.predict_proba("demo", serving_rows[0])  # warm-up: model load
+            trace = tracer.begin()
+            started = time.perf_counter()
+            engine.predict_proba("demo", serving_rows[1], trace=trace)
+            elapsed = time.perf_counter() - started
+            trace.finish()
+        (assembly,) = [
+            span for span in tracer.buffer.spans() if span.name == "batch_assembly"
+        ]
+        assert elapsed < 0.1
+        assert assembly.duration_ms < 1.0
+
+    def test_admission_count_survives_concurrent_callers(
+        self, registry, offline_model, serving_rows
+    ):
+        # More callers than cores and frequent thread switches, leaving by
+        # every route (queued, cached, shed with 429, no rows, invalid rows,
+        # unknown model): a leaked or lost update would leave the count off
+        # zero, and every later lone request would linger in full.
+        expected = offline_model.predict_proba(serving_rows)
+        refused = ([[1.0, 2.0]], [[np.nan, 0.0, 0.0]])
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with make_engine(
+                registry, max_batch=4, max_wait_ms=5.0, max_queue_rows=4, cache_size=8
+            ) as engine:
+
+                def call(index: int):
+                    route = index % 8
+                    if route < len(refused):
+                        with pytest.raises(ServingError):
+                            engine.predict_proba("demo", refused[route])
+                        return None
+                    if route == 2:
+                        with pytest.raises(ServingError):
+                            engine.predict_proba("missing", serving_rows[0])
+                        return None
+                    if route == 3:
+                        assert engine.predict_proba("demo", np.empty((0, 3))).shape == (0, 2)
+                        return None
+                    row = index % len(serving_rows)
+                    try:
+                        return row, engine.predict_proba("demo", serving_rows[row])
+                    except ServingError as exc:
+                        assert exc.status == 429
+                        return None
+
+                with ThreadPoolExecutor(max_workers=16) as pool:
+                    outcomes = list(pool.map(call, range(1000)))
+                assert engine._admitting == 0
+        finally:
+            sys.setswitchinterval(previous)
+        served = [outcome for outcome in outcomes if outcome is not None]
+        assert served
+        for row, result in served:
+            assert np.array_equal(result, expected[row:row + 1])
 
     def test_max_batch_1_disables_coalescing(self, registry, serving_rows):
         with make_engine(registry, max_batch=1, max_wait_ms=10.0) as engine:

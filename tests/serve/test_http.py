@@ -7,10 +7,13 @@ the benchmark driver and the CI smoke job take.
 
 from __future__ import annotations
 
+import http.client
 import json
 import threading
+import time
 import urllib.error
 import urllib.request
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -205,3 +208,51 @@ class TestMetrics:
         latency = metrics["latency_ms"]
         assert latency["count"] == 2
         assert 0.0 <= latency["p50"] <= latency["p99"]
+
+
+class TestTransport:
+    def test_kept_alive_requests_skip_the_delayed_ack(self, server, serving_rows):
+        # A response goes out as a header write and then a body write.  With
+        # Nagle on, the body waits for the client's delayed ACK of the
+        # headers (40 ms) on a kept-alive connection; TCP_NODELAY sends it
+        # at once.  20 ms is half the delayed-ACK timer.
+        host, port = server.server_address[:2]
+        connection = http.client.HTTPConnection(host, port, timeout=10.0)
+        latencies = []
+        try:
+            for row in [serving_rows[0], *serving_rows[:10]]:  # first: warm-up
+                started = time.perf_counter()
+                connection.request(
+                    "POST", "/v1/models/demo:predict",
+                    body=json.dumps({"rows": [row.tolist()]}).encode("utf-8"),
+                    headers={"Content-Type": "application/json"},
+                )
+                response = connection.getresponse()
+                response.read()
+                assert response.status == 200
+                latencies.append(time.perf_counter() - started)
+        finally:
+            connection.close()
+        assert np.median(latencies[1:]) < 0.020, latencies
+
+    def test_simultaneous_connects_are_answered(self, server, serving_rows):
+        # A burst of connects larger than socketserver's default backlog of 5
+        # must still reach the handler: every client gets a 200 or a 429
+        # from admission control, never a reset connection.
+        n_clients = 48
+        url = f"{server.url}/v1/models/demo:predict"
+        barrier = threading.Barrier(n_clients)
+
+        def one_client(index: int):
+            barrier.wait()
+            row = serving_rows[index % len(serving_rows)].tolist()
+            try:
+                status, _ = _raw_post(url, json.dumps({"rows": [row]}).encode("utf-8"))
+            except OSError as exc:
+                return exc
+            return status
+
+        with ThreadPoolExecutor(max_workers=n_clients) as pool:
+            for _ in range(3):
+                outcomes = list(pool.map(one_client, range(n_clients)))
+                assert all(outcome in (200, 429) for outcome in outcomes), outcomes

@@ -162,6 +162,9 @@ class TestAdmissionControl:
             occupant.join(timeout=5.0)
             queued.join(timeout=5.0)
             snapshot = engine.metrics.snapshot()
+            # The shed caller ended its admission: later lone requests do
+            # not linger for it.
+            assert engine._admitting == 0
         assert excinfo.value.status == 429
         assert excinfo.value.retry_after is not None
         # "Fast" means enqueue-time rejection, not a timeout in disguise.

@@ -88,3 +88,14 @@ def test_votes_requests_count_in_metrics(client, serving_rows):
     snapshot = client.metrics()
     assert snapshot["predict_requests"] == 1
     assert snapshot["rows_total"] == len(serving_rows)
+
+
+def test_every_votes_request_ends_its_admission(forest_server, client, serving_rows):
+    # Served, empty and refused vote requests all end their admission, so
+    # the coalescer never lingers for a caller that will not enqueue.
+    client.predict_votes("forest", serving_rows)
+    client.predict_votes("forest", serving_rows, members=[])
+    for name, members in (("tree", None), ("forest", [7])):
+        with pytest.raises(ServingError):
+            client.predict_votes(name, serving_rows, members=members)
+    assert forest_server.engine._admitting == 0
