@@ -130,11 +130,7 @@ class JSONRequestHandler(BaseHTTPRequestHandler):
     """Plumbing shared by the serving and router tiers' handlers.
 
     JSON and text responses, the keep-alive error hygiene, bounded JSON
-    body reads and access logging live here once.  ``TCP_NODELAY`` is set
-    on every accepted connection (``disable_nagle_algorithm``): a response
-    goes out as a header write and then a body write, and with Nagle on the
-    body would wait for the client's delayed ACK of the headers — ~40 ms a
-    request on a kept-alive connection.
+    body reads and access logging live here once.
 
     The tiers differ only through the hooks: :meth:`_json_ready` (the
     serving tier converts numpy results), :meth:`_record_error` (the
@@ -144,7 +140,6 @@ class JSONRequestHandler(BaseHTTPRequestHandler):
     """
 
     protocol_version = "HTTP/1.1"
-    disable_nagle_algorithm = True
     default_error_status = 400
     access_log = _log
 

@@ -2,16 +2,13 @@
 
 from __future__ import annotations
 
-import http.client
 import json
 import threading
-import time
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-import numpy as np
 import pytest
 
 from repro.exceptions import ServingError
@@ -215,30 +212,6 @@ def test_unknown_paths_are_404(router_server):
     assert error.value.status == 404
     status, _, _ = post_json(f"{router_server.url}/v1/oops", {"x": 1})
     assert status == 404
-
-
-def test_kept_alive_requests_skip_the_delayed_ack(router_server, router_rows):
-    # Same transport rule as a replica: with Nagle on, each response body
-    # would wait for the client's delayed ACK (40 ms) of its headers on a
-    # kept-alive connection.  20 ms is half that timer.
-    host, port = router_server.server_address[:2]
-    connection = http.client.HTTPConnection(host, port, timeout=10.0)
-    latencies = []
-    try:
-        for row in [router_rows[0], *router_rows[:10]]:  # first: warm-up
-            started = time.perf_counter()
-            connection.request(
-                "POST", "/v1/models/tree:predict",
-                body=json.dumps({"rows": [row.tolist()]}).encode("utf-8"),
-                headers={"Content-Type": "application/json"},
-            )
-            response = connection.getresponse()
-            response.read()
-            assert response.status == 200
-            latencies.append(time.perf_counter() - started)
-    finally:
-        connection.close()
-    assert np.median(latencies[1:]) < 0.020, latencies
 
 
 def test_simultaneous_connects_are_answered(router_server, router_rows):

@@ -7,10 +7,8 @@ the benchmark driver and the CI smoke job take.
 
 from __future__ import annotations
 
-import http.client
 import json
 import threading
-import time
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
@@ -211,30 +209,6 @@ class TestMetrics:
 
 
 class TestTransport:
-    def test_kept_alive_requests_skip_the_delayed_ack(self, server, serving_rows):
-        # A response goes out as a header write and then a body write.  With
-        # Nagle on, the body waits for the client's delayed ACK of the
-        # headers (40 ms) on a kept-alive connection; TCP_NODELAY sends it
-        # at once.  20 ms is half the delayed-ACK timer.
-        host, port = server.server_address[:2]
-        connection = http.client.HTTPConnection(host, port, timeout=10.0)
-        latencies = []
-        try:
-            for row in [serving_rows[0], *serving_rows[:10]]:  # first: warm-up
-                started = time.perf_counter()
-                connection.request(
-                    "POST", "/v1/models/demo:predict",
-                    body=json.dumps({"rows": [row.tolist()]}).encode("utf-8"),
-                    headers={"Content-Type": "application/json"},
-                )
-                response = connection.getresponse()
-                response.read()
-                assert response.status == 200
-                latencies.append(time.perf_counter() - started)
-        finally:
-            connection.close()
-        assert np.median(latencies[1:]) < 0.020, latencies
-
     def test_simultaneous_connects_are_answered(self, server, serving_rows):
         # A burst of connects larger than socketserver's default backlog of 5
         # must still reach the handler: every client gets a 200 or a 429
