@@ -25,6 +25,16 @@ A *table* spec is either one column spec (applied to every column), a
 sequence with one entry per column, or a ``{column: spec}`` mapping keyed by
 index or attribute name (``"*"`` sets the default for unlisted columns).
 
+A table whose columns are all :func:`gaussian`, :func:`uniform` or
+:func:`point` is built array-natively: each column's pdfs come out of a few
+whole-column NumPy passes (:meth:`ColumnSpec.pdf_rows`) straight into the
+:class:`~repro.core.columnar.ColumnarPdfStore` that training and batch
+classification read, and the dataset builds its per-tuple objects only when
+asked for them.  The arrays are bit-identical to building every cell with
+:meth:`ColumnSpec.feature_for`, which remains the path for tables with
+``samples`` or ``categorical`` columns (and for the odd table with a column
+whose supports are too narrow for its values to form a regular grid).
+
 The ``w``-scaled specs reproduce :func:`repro.data.uncertainty.inject_uncertainty`
 exactly: ``build_dataset(X, y, spec=gaussian(w, s))`` equals
 ``inject_uncertainty(UncertainDataset.from_points(X, y), ...)`` tree-for-tree
@@ -44,8 +54,8 @@ import numpy as np
 from repro.core.categorical import CategoricalDistribution
 from repro.core.dataset import Attribute, UncertainDataset, UncertainTuple
 from repro.core.params import ParamsMixin
-from repro.core.pdf import Pdf, SampledPdf
-from repro.exceptions import SpecError
+from repro.core.pdf import Pdf, PdfRows, SampledPdf
+from repro.exceptions import PdfError, SpecError
 
 __all__ = [
     "ColumnSpec",
@@ -109,6 +119,15 @@ class ColumnSpec(ParamsMixin):
         """Turn one raw cell value into a feature (pdf or distribution)."""
         raise NotImplementedError
 
+    def pdf_rows(self, values: np.ndarray, extent: float | None) -> PdfRows | None:
+        """:meth:`feature_for` of a whole column of numbers, as pdf rows.
+
+        Returns the arrays of every cell's pdf at once (bit-identical to
+        :meth:`feature_for`), or ``None`` when the column has to be built
+        cell by cell — always, unless a spec knows its pdfs' shape.
+        """
+        return None
+
     def __repr__(self) -> str:
         inner = ", ".join(f"{k}={v!r}" for k, v in self.get_params().items())
         return f"{type(self).__name__}({inner})"
@@ -138,18 +157,32 @@ class _WidthScaledSpec(ColumnSpec):
         if self.s < 1:
             raise SpecError(f"sample count s must be at least 1, got {self.s!r}")
 
+    def _support(self, centre, extent: float | None):
+        """``(domain_width, low, high)`` around ``centre`` (a value or an
+        array of them), or ``None`` when the cells are point masses."""
+        domain_width = self.w * (extent or 0.0)
+        if domain_width <= 0 or self.w == 0:
+            return None
+        return domain_width, centre - domain_width / 2.0, centre + domain_width / 2.0
+
 
 class GaussianSpec(_WidthScaledSpec):
     """Truncated-Gaussian error model of relative width ``w`` (paper Sec. 4.3)."""
 
     def feature_for(self, value, extent: float | None) -> SampledPdf:
         mean = float(value)
-        domain_width = self.w * (extent or 0.0)
-        if domain_width <= 0 or self.w == 0:
+        support = self._support(mean, extent)
+        if support is None:
             return SampledPdf.point(mean)
-        low = mean - domain_width / 2.0
-        high = mean + domain_width / 2.0
+        domain_width, low, high = support
         return SampledPdf.gaussian(mean, domain_width / 4.0, low, high, self.s)
+
+    def pdf_rows(self, values: np.ndarray, extent: float | None) -> PdfRows | None:
+        support = self._support(values, extent)
+        if support is None:
+            return SampledPdf.point_rows(values)
+        domain_width, lows, highs = support
+        return SampledPdf.gaussian_rows(values, domain_width / 4.0, lows, highs, self.s)
 
 
 class UniformSpec(_WidthScaledSpec):
@@ -157,12 +190,18 @@ class UniformSpec(_WidthScaledSpec):
 
     def feature_for(self, value, extent: float | None) -> SampledPdf:
         mean = float(value)
-        domain_width = self.w * (extent or 0.0)
-        if domain_width <= 0 or self.w == 0:
+        support = self._support(mean, extent)
+        if support is None:
             return SampledPdf.point(mean)
-        low = mean - domain_width / 2.0
-        high = mean + domain_width / 2.0
+        _, low, high = support
         return SampledPdf.uniform(low, high, self.s)
+
+    def pdf_rows(self, values: np.ndarray, extent: float | None) -> PdfRows | None:
+        support = self._support(values, extent)
+        if support is None:
+            return SampledPdf.point_rows(values)
+        _, lows, highs = support
+        return SampledPdf.uniform_rows(lows, highs, self.s)
 
 
 class PointSpec(ColumnSpec):
@@ -170,6 +209,9 @@ class PointSpec(ColumnSpec):
 
     def feature_for(self, value, extent: float | None) -> SampledPdf:
         return SampledPdf.point(float(value))
+
+    def pdf_rows(self, values: np.ndarray, extent: float | None) -> PdfRows | None:
+        return SampledPdf.point_rows(values)
 
 
 class SamplesSpec(ColumnSpec):
@@ -366,13 +408,17 @@ def column_extents(
     Only computed for columns whose spec scales with the attribute range
     (``needs_extent``); other columns get ``None``.  Matches how
     :func:`repro.data.uncertainty.attribute_ranges` scales the error models.
+    ``rows`` may be a 2-D float array.
     """
     extents: list[tuple[float, float] | None] = []
     for index, colspec in enumerate(colspecs):
         if not colspec.needs_extent:
             extents.append(None)
             continue
-        values = [_representative(colspec, row[index]) for row in rows]
+        if isinstance(rows, np.ndarray):
+            values = rows[:, index].tolist()
+        else:
+            values = [_representative(colspec, row[index]) for row in rows]
         if not values:
             raise SpecError("cannot compute column extents of an empty array")
         extents.append((min(values), max(values)))
@@ -399,8 +445,25 @@ def dataset_extents(dataset: UncertainDataset) -> list[tuple[float, float] | Non
 # -- the builder --------------------------------------------------------------
 
 
-def _as_rows(X, colspecs: Sequence[ColumnSpec]) -> list[Sequence]:
-    """Normalise ``X`` into a list of rows, validating the shape."""
+def _reject_non_finite(matrix: np.ndarray, attribute_names: Sequence[str] | None) -> None:
+    """Raise :class:`PdfError` naming the first NaN/Inf cell of ``matrix``."""
+    row = first_non_finite_row(matrix)
+    if row is None:
+        return
+    column = int(np.argmin(np.isfinite(matrix[row])))
+    name = attribute_names[column] if attribute_names is not None else f"A{column + 1}"
+    raise PdfError(
+        f"row {row}, column {column} ({name!r}) is {float(matrix[row, column])!r}: "
+        "a pdf cell must be finite"
+    )
+
+
+def _as_rows(X, colspecs: Sequence[ColumnSpec]) -> "np.ndarray | list[Sequence]":
+    """Normalise ``X`` into rows, validating the shape.
+
+    A table of plain numbers (no ``samples`` or ``categorical`` column)
+    comes back as one 2-D float array, every other table as a list of rows.
+    """
     n_columns = len(colspecs)
     simple = all(
         not colspec.is_categorical and not isinstance(colspec, SamplesSpec)
@@ -417,7 +480,7 @@ def _as_rows(X, colspecs: Sequence[ColumnSpec]) -> list[Sequence]:
             raise SpecError(
                 f"X has {array.shape[1]} columns but the spec describes {n_columns}"
             )
-        return list(array)
+        return array
     iloc = getattr(X, "iloc", None)
     if iloc is not None:
         # DataFrame-style input: iterate positionally (list(X) would yield
@@ -456,12 +519,14 @@ def _resolve_table(
     X,
     spec,
     attribute_names: Sequence[str] | None,
-) -> tuple[list, list[ColumnSpec], Sequence[str] | None]:
+) -> tuple["np.ndarray | list", list[ColumnSpec], Sequence[str] | None]:
     """Shared front half of :func:`build_dataset`: rows + column specs.
 
     Determines the column count, expands the table spec, and normalises
-    ``X`` into validated rows — so every consumer (dataset building, extent
-    computation) sees exactly the same interpretation of the input.
+    ``X`` into validated rows (see :func:`_as_rows`) — so every consumer
+    (dataset building, extent computation) sees exactly the same
+    interpretation of the input.  A NaN or infinite number raises
+    :class:`~repro.exceptions.PdfError` here, before any arithmetic.
     """
     shape = getattr(X, "shape", None)
     if (
@@ -489,7 +554,10 @@ def _resolve_table(
             f"attribute_names has {len(attribute_names)} entries, expected {n_columns}"
         )
     colspecs = resolve_table_spec(spec, n_columns, attribute_names)
-    return _as_rows(X, colspecs), colspecs, attribute_names
+    rows = _as_rows(X, colspecs)
+    if isinstance(rows, np.ndarray):
+        _reject_non_finite(rows, attribute_names)
+    return rows, colspecs, attribute_names
 
 
 def compute_extents(
@@ -541,6 +609,9 @@ def build_dataset(
         specs.  Computed from ``X`` itself when omitted; pass the training
         extents here (see :func:`compute_extents`) to transform test data
         consistently with training.
+
+    Raises :class:`~repro.exceptions.PdfError` naming the row and column of
+    the first NaN or infinite number in a table of plain numbers.
     """
     rows, colspecs, attribute_names = _resolve_table(X, spec, attribute_names)
     n_columns = len(colspecs)
@@ -564,6 +635,15 @@ def build_dataset(
     widths = [
         (extent[1] - extent[0]) if extent is not None else None for extent in extents
     ]
+
+    if isinstance(rows, np.ndarray):
+        columns = [
+            colspec.pdf_rows(rows[:, index], widths[index])
+            for index, colspec in enumerate(colspecs)
+        ]
+        if all(column is not None for column in columns):
+            labels = [None] * len(rows) if y is None else [y[i] for i in range(len(rows))]
+            return UncertainDataset.from_pdf_rows(attributes, columns, labels, class_labels)
 
     tuples = []
     for position, row in enumerate(rows):

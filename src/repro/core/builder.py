@@ -179,7 +179,13 @@ class TreeBuilder:
         if homogeneous or depth_exhausted or total_weight < self.min_split_weight:
             return 0.0
         node_stats = SplitSearchStats()
-        best_numerical = self._find_numerical_split(tuples, dataset, node_stats)
+        # The columnar root contexts equal the per-tuple ones, and the store
+        # memoises them, so a build of the same dataset that follows a
+        # triggered re-split reuses them.
+        store = ColumnarPdfStore.from_dataset(dataset, require_labels=True)
+        best_numerical = self._find_numerical_split_columnar(
+            store, store.root_view(), dataset, node_stats, None
+        )
         best_categorical = self._find_categorical_split(
             tuples, dataset, frozenset(), node_stats
         )

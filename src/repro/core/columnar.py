@@ -43,16 +43,19 @@ different entropy-calculation counts.)
 
 from __future__ import annotations
 
-from typing import Hashable, Sequence
+from typing import Hashable, NamedTuple, Sequence
 
 import numpy as np
 
 from repro.core.dataset import UncertainDataset
-from repro.core.pdf import SampledPdf
+from repro.core.pdf import Pdf, PdfRows, SampledPdf
 from repro.core.splits import AttributeSplitContext
 from repro.exceptions import SplitError
 
 __all__ = ["ColumnarPdfStore", "ColumnarNodeView"]
+
+#: Pdf kinds for which end points are the only split candidates (Theorem 3).
+_UNIFORM_KINDS = ("uniform", "point")
 
 
 def _gather_ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
@@ -70,6 +73,15 @@ def _gather_ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
     return np.arange(total, dtype=np.int64) - np.repeat(begins, lengths) + np.repeat(
         starts, lengths
     )
+
+
+class _SortedColumn(NamedTuple):
+    """A column's samples in global position order (ties in tuple order)."""
+
+    order: np.ndarray
+    values: np.ndarray
+    masses: np.ndarray
+    tuple_id: np.ndarray
 
 
 class _AttributeColumn:
@@ -90,10 +102,7 @@ class _AttributeColumn:
         "offsets",
         "is_uniform",
         "kinds",
-        "sort_order",
-        "sorted_values",
-        "sorted_masses",
-        "sorted_tuple_id",
+        "_sorted",
     )
 
     def __init__(
@@ -105,23 +114,80 @@ class _AttributeColumn:
         is_uniform: np.ndarray,
         kinds: list[str],
     ) -> None:
+        # Read-only: the pdf objects of pdf_views() share these arrays.
+        for array in (values, masses, local_cum):
+            array.flags.writeable = False
         self.values = values
         self.masses = masses
         self.local_cum = local_cum
         self.offsets = offsets
         self.is_uniform = is_uniform
         self.kinds = kinds
-        # Column-global sorted view, computed once: every node then obtains
-        # its own samples in sorted order with a boolean gather instead of a
-        # fresh argsort.  The stable sort breaks position ties by flat index,
-        # i.e. by tuple order — the same tie order a per-node stable sort of
-        # tuple-ordered samples would produce.
-        self.sort_order = np.argsort(values, kind="stable")
-        self.sorted_values = values[self.sort_order]
-        self.sorted_masses = masses[self.sort_order]
-        counts = np.diff(offsets)
-        tuple_id_of_sample = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
-        self.sorted_tuple_id = tuple_id_of_sample[self.sort_order]
+        self._sorted: _SortedColumn | None = None
+
+    @classmethod
+    def from_pdfs(cls, pdfs: Sequence[Pdf]) -> "_AttributeColumn":
+        """Concatenate one pdf per tuple."""
+        counts = np.array([pdf.xs.size for pdf in pdfs], dtype=np.int64)
+        offsets = np.zeros(len(pdfs) + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        if pdfs:
+            values = np.concatenate([pdf.xs for pdf in pdfs])
+            masses = np.concatenate([pdf.masses for pdf in pdfs])
+            local_cum = np.concatenate(
+                [
+                    pdf.cumulative if isinstance(pdf, SampledPdf) else np.cumsum(pdf.masses)
+                    for pdf in pdfs
+                ]
+            )
+        else:
+            values = np.empty(0)
+            masses = np.empty(0)
+            local_cum = np.empty(0)
+        kinds = [getattr(pdf, "kind", "custom") for pdf in pdfs]
+        is_uniform = np.array([kind in _UNIFORM_KINDS for kind in kinds], dtype=bool)
+        return cls(values, masses, local_cum, offsets, is_uniform, kinds)
+
+    @classmethod
+    def from_rows(cls, rows: PdfRows) -> "_AttributeColumn":
+        """Adopt equal-length pdf rows (one per tuple) without copying."""
+        n, size = rows.xs.shape
+        return cls(
+            rows.xs.reshape(-1),
+            rows.masses.reshape(-1),
+            rows.cumulative.reshape(-1),
+            np.arange(0, (n + 1) * size, size, dtype=np.int64),
+            np.full(n, rows.kind in _UNIFORM_KINDS),
+            [rows.kind] * n,
+        )
+
+    def sorted_view(self) -> _SortedColumn:
+        """The column-global sorted view, built on first use.
+
+        Training nodes obtain their samples in sorted order from it with a
+        boolean gather instead of a fresh argsort; classification never
+        needs it, so a predict-only store never sorts.  The stable sort
+        breaks position ties by flat index, i.e. by tuple order — the same
+        tie order a per-node stable sort of tuple-ordered samples would
+        produce.
+        """
+        if self._sorted is None:
+            order = np.argsort(self.values, kind="stable")
+            counts = np.diff(self.offsets)
+            tuple_id = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
+            self._sorted = _SortedColumn(
+                order, self.values[order], self.masses[order], tuple_id[order]
+            )
+        return self._sorted
+
+    def pdf_views(self) -> list[SampledPdf]:
+        """One :class:`SampledPdf` per tuple over read-only views of the arrays."""
+        bounds = self.offsets.tolist()
+        return [
+            SampledPdf._adopt(self.values[start:stop], self.masses[start:stop],
+                              self.local_cum[start:stop], kind)
+            for start, stop, kind in zip(bounds[:-1], bounds[1:], self.kinds)
+        ]
 
     def mass_before(self, index: np.ndarray, segment_base: np.ndarray) -> np.ndarray:
         """Cumulative tuple mass strictly before each flat ``index``.
@@ -174,12 +240,13 @@ class _FusedColumns:
         self.values = np.concatenate([column.values for column in columns])
         self.masses = np.concatenate([column.masses for column in columns])
         self.local_cum = np.concatenate([column.local_cum for column in columns])
-        self.sorted_values = np.concatenate([column.sorted_values for column in columns])
-        self.sorted_masses = np.concatenate([column.sorted_masses for column in columns])
-        self.sorted_tuple_id = np.concatenate([column.sorted_tuple_id for column in columns])
+        views = [column.sorted_view() for column in columns]
+        self.sorted_values = np.concatenate([view.values for view in views])
+        self.sorted_masses = np.concatenate([view.masses for view in views])
+        self.sorted_tuple_id = np.concatenate([view.tuple_id for view in views])
         row_of_sample = np.repeat(np.arange(k, dtype=np.int64), sizes)
         self.sorted_flat_full = np.concatenate(
-            [column.sort_order + b for column, b in zip(columns, base)]
+            [view.order + b for view, b in zip(views, base)]
         )
         self.sort_order_padded = self.sorted_flat_full + row_of_sample
         self.seg_base = np.vstack(
@@ -251,8 +318,9 @@ class ColumnarNodeView:
 class ColumnarPdfStore:
     """Columnar storage of a dataset's numerical pdfs plus tuple metadata.
 
-    Build one with :meth:`from_dataset`; the store is immutable and shared
-    by every node view derived from it.
+    Build one with :meth:`from_dataset` (from a dataset's pdf objects) or
+    :meth:`from_rows` (from whole columns of pdf arrays, with no objects);
+    the store is immutable and shared by every node view derived from it.
     """
 
     __slots__ = (
@@ -341,35 +409,26 @@ class ColumnarPdfStore:
                 class_of[i] = label_index[item.label]
             base_weights[i] = item.weight
 
-        columns: list[_AttributeColumn] = []
-        for attr_index in numerical_indices:
-            pdfs = [item.pdf(attr_index) for item in dataset.tuples]
-            counts = np.array([pdf.xs.size for pdf in pdfs], dtype=np.int64)
-            offsets = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(counts, out=offsets[1:])
-            if pdfs:
-                values = np.concatenate([pdf.xs for pdf in pdfs])
-                masses = np.concatenate([pdf.masses for pdf in pdfs])
-                local_cum = np.concatenate(
-                    [
-                        pdf.cumulative
-                        if isinstance(pdf, SampledPdf)
-                        else np.cumsum(pdf.masses)
-                        for pdf in pdfs
-                    ]
-                )
-            else:
-                values = np.empty(0)
-                masses = np.empty(0)
-                local_cum = np.empty(0)
-            kinds = [getattr(pdf, "kind", "custom") for pdf in pdfs]
-            is_uniform = np.array([kind in ("uniform", "point") for kind in kinds], dtype=bool)
-            columns.append(
-                _AttributeColumn(values, masses, local_cum, offsets, is_uniform, kinds)
-            )
-
+        columns = [
+            _AttributeColumn.from_pdfs([item.pdf(attr_index) for item in dataset.tuples])
+            for attr_index in numerical_indices
+        ]
         return cls(n, numerical_indices, columns, class_of, base_weights,
                    len(dataset.class_labels))
+
+    @classmethod
+    def from_rows(
+        cls, columns: Sequence[PdfRows], class_of: np.ndarray, n_classes: int
+    ) -> "ColumnarPdfStore":
+        """A store of all-numerical, whole (weight 1) tuples, from pdf rows.
+
+        ``columns[a]`` holds attribute ``a``'s pdf of every tuple (see
+        :class:`~repro.core.pdf.PdfRows`), ``class_of`` each tuple's class
+        index (``-1`` when unlabelled).  The arrays are adopted, not copied.
+        """
+        n = int(class_of.size)
+        return cls(n, range(len(columns)), [_AttributeColumn.from_rows(rows) for rows in columns],
+                   class_of, np.ones(n), n_classes)
 
     # -- basic accessors -----------------------------------------------------
 
@@ -392,6 +451,10 @@ class ColumnarPdfStore:
         column = self._columns[self.row_of(attribute_index)]
         start, stop = column.offsets[tuple_id], column.offsets[tuple_id + 1]
         return column.values[start:stop], column.masses[start:stop]
+
+    def pdf_views(self, attribute_index: int) -> list[SampledPdf]:
+        """Every tuple's pdf of one attribute, as read-only views of the store."""
+        return self._columns[self.row_of(attribute_index)].pdf_views()
 
     def pdf_at(self, attribute_index: int, tuple_id: int) -> SampledPdf:
         """Reconstruct one tuple's pdf from the flat arrays."""
@@ -477,8 +540,9 @@ class ColumnarPdfStore:
         bounds = np.zeros(column.values.size + 1, dtype=np.int64)
         bounds[starts] += 1
         bounds[stops] -= 1
-        live_sorted = np.cumsum(bounds[:-1])[column.sort_order] > 0
-        tuple_of_sample = column.sorted_tuple_id[live_sorted]
+        ordered = column.sorted_view()
+        live_sorted = np.cumsum(bounds[:-1])[ordered.order] > 0
+        tuple_of_sample = ordered.tuple_id[live_sorted]
         scale_of_tuple = np.zeros(self.n_tuples)
         scale_of_tuple[view.tuple_ids] = scale
 
@@ -487,8 +551,8 @@ class ColumnarPdfStore:
         return AttributeSplitContext.from_arrays(
             attribute_index=attribute_index,
             class_labels=class_labels,
-            positions=column.sorted_values[live_sorted],
-            masses=column.sorted_masses[live_sorted] * scale_of_tuple[tuple_of_sample],
+            positions=ordered.values[live_sorted],
+            masses=ordered.masses[live_sorted] * scale_of_tuple[tuple_of_sample],
             classes=self.class_of[tuple_of_sample],
             end_point_bounds=(column.values[starts], column.values[stops - 1]),
             candidates=None,

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Iterator, Sequence
+from typing import Hashable, Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
 from repro.core.categorical import CategoricalDistribution
-from repro.core.pdf import Pdf, SampledPdf
+from repro.core.pdf import Pdf, PdfRows, SampledPdf
 from repro.exceptions import DatasetError
 
 __all__ = [
@@ -78,7 +78,7 @@ class Attribute:
         return self.kind is AttributeKind.CATEGORICAL
 
 
-FeatureValue = Pdf | CategoricalDistribution
+FeatureValue = Union[Pdf, CategoricalDistribution]
 
 
 class UncertainTuple:
@@ -170,6 +170,11 @@ class UncertainTuple:
         )
 
 
+def _sorted_labels(labels: Iterable[Hashable | None]) -> list[Hashable]:
+    """The distinct non-``None`` labels, in the default class-label order."""
+    return sorted({label for label in labels if label is not None}, key=repr)
+
+
 class UncertainDataset:
     """A collection of uncertain tuples sharing an attribute schema.
 
@@ -183,9 +188,14 @@ class UncertainDataset:
     class_labels:
         Optional explicit ordering of class labels.  When omitted, the
         distinct labels found in the tuples are used in sorted order.
+
+    A dataset made by :meth:`from_pdf_rows` holds its pdfs in a columnar
+    store instead, and builds its tuples only when :attr:`tuples` is read.
     """
 
-    __slots__ = ("attributes", "tuples", "class_labels", "_label_index", "_columnar_store")
+    __slots__ = (
+        "attributes", "_tuples", "_labels", "class_labels", "_label_index", "_columnar_store"
+    )
 
     def __init__(
         self,
@@ -196,17 +206,64 @@ class UncertainDataset:
         self.attributes = tuple(attributes)
         if not self.attributes:
             raise DatasetError("a dataset needs at least one attribute")
-        self.tuples = list(tuples)
-        for position, item in enumerate(self.tuples):
+        self._tuples = list(tuples)
+        self._labels = None
+        for position, item in enumerate(self._tuples):
             self._validate_tuple(item, position)
         if class_labels is None:
-            found = {t.label for t in self.tuples if t.label is not None}
-            class_labels = sorted(found, key=repr)
+            class_labels = _sorted_labels(t.label for t in self._tuples)
         self.class_labels = tuple(class_labels)
         self._label_index = {label: i for i, label in enumerate(self.class_labels)}
         # Lazily-built columnar flattening of this dataset, shared by tree
         # construction and batch classification (see repro.core.columnar).
         self._columnar_store = None
+
+    @classmethod
+    def from_pdf_rows(
+        cls,
+        attributes: Sequence[Attribute],
+        columns: Sequence[PdfRows],
+        labels: Sequence[Hashable | None],
+        class_labels: Sequence[Hashable] | None = None,
+    ) -> "UncertainDataset":
+        """Dataset of whole tuples over numerical attributes, from pdf arrays.
+
+        ``columns[a]`` holds attribute ``a``'s pdf of every tuple (see
+        :class:`~repro.core.pdf.PdfRows`) and ``labels`` one label per
+        tuple.  The arrays go straight into the dataset's
+        :class:`~repro.core.columnar.ColumnarPdfStore`, which training and
+        batch classification read; the per-tuple objects are built from it,
+        as read-only views of its arrays, only when :attr:`tuples` is read.
+        """
+        from repro.core.columnar import ColumnarPdfStore
+
+        dataset = cls.__new__(cls)
+        dataset.attributes = tuple(attributes)
+        dataset._tuples = None
+        dataset._labels = list(labels)
+        if class_labels is None:
+            class_labels = _sorted_labels(dataset._labels)
+        dataset.class_labels = tuple(class_labels)
+        dataset._label_index = {label: i for i, label in enumerate(dataset.class_labels)}
+        class_of = np.array(
+            [dataset._label_index.get(label, -1) for label in dataset._labels], dtype=np.int64
+        )
+        dataset._columnar_store = ColumnarPdfStore.from_rows(
+            columns, class_of, len(dataset.class_labels)
+        )
+        return dataset
+
+    @property
+    def tuples(self) -> list[UncertainTuple]:
+        """The dataset's tuples (built on first read for a columnar dataset)."""
+        if self._tuples is None:
+            store = self._columnar_store
+            columns = [store.pdf_views(index) for index in range(len(self.attributes))]
+            self._tuples = [
+                UncertainTuple(features, label=label)
+                for features, label in zip(zip(*columns), self._labels)
+            ]
+        return self._tuples
 
     def _validate_tuple(self, item: UncertainTuple, position: int) -> None:
         if len(item.features) != len(self.attributes):
@@ -229,11 +286,13 @@ class UncertainDataset:
     # -- pickling -----------------------------------------------------------
 
     def __getstate__(self) -> tuple[None, dict]:
-        # Drop the cached columnar store: it is derived data, and shipping
-        # it to worker processes would more than double the payload.
+        # Ship the tuples (a columnar dataset builds them here) and drop the
+        # store: it is derived from them, and shipping it to worker
+        # processes would more than double the payload.
         slots = {
             "attributes": self.attributes,
-            "tuples": self.tuples,
+            "_tuples": self.tuples,
+            "_labels": None,
             "class_labels": self.class_labels,
             "_label_index": self._label_index,
             "_columnar_store": None,
@@ -248,7 +307,7 @@ class UncertainDataset:
     # -- basic accessors ----------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.tuples)
+        return len(self._tuples if self._tuples is not None else self._labels)
 
     def __iter__(self) -> Iterator[UncertainTuple]:
         return iter(self.tuples)
@@ -412,6 +471,6 @@ class UncertainDataset:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"UncertainDataset(n_tuples={len(self.tuples)}, "
+            f"UncertainDataset(n_tuples={len(self)}, "
             f"n_attributes={self.n_attributes}, n_classes={self.n_classes})"
         )

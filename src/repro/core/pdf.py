@@ -21,20 +21,83 @@ shapes used throughout the paper's experiments:
 
 All pdfs are immutable; operations such as :meth:`SampledPdf.truncate_left`
 return new objects.
+
+:class:`PdfRows` is the same data for a whole column of cells at once: the
+``*_rows`` factories take arrays of cell parameters and return the arrays
+that the scalar factories would store, bit for bit, as equal-length rows.
+They exist so array inputs can skip per-cell objects altogether (see
+:func:`repro.api.spec.build_dataset`); a factory returns ``None`` whenever
+some cell would not come out as a regular grid of that length (a support
+narrower than its value's spacing, a non-finite position), and the caller
+then goes back to the scalar factories, which also raise their usual errors.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from repro.exceptions import PdfError
 
-__all__ = ["Pdf", "SampledPdf"]
+__all__ = ["Pdf", "SampledPdf", "PdfRows"]
 
 #: Numerical tolerance used when validating that probability masses sum to 1.
 _MASS_TOLERANCE = 1e-9
+
+
+class PdfRows(NamedTuple):
+    """Equal-length pdfs, one per row: what :class:`SampledPdf` would hold.
+
+    ``xs``, ``masses`` and ``cumulative`` are C-contiguous ``(n_cells,
+    n_samples)`` arrays whose row ``i`` equals the ``xs`` / ``masses`` /
+    ``cumulative`` of cell ``i``'s :class:`SampledPdf`; ``kind`` is their
+    common tag.
+    """
+
+    xs: np.ndarray
+    masses: np.ndarray
+    cumulative: np.ndarray
+    kind: str
+
+
+def _linspace_rows(lows: np.ndarray, highs: np.ndarray, n: int) -> np.ndarray:
+    """Row ``i`` is ``np.linspace(lows[i], highs[i], n)`` (``n >= 2``), bit for bit.
+
+    ``np.linspace(lows, highs, n, axis=1)`` is no substitute: it switches
+    every row to its zero-step formula as soon as one row's step underflows
+    to zero, and returns a strided array whose row sums differ from the
+    scalar calls' in the last bit.  Here every row uses the non-zero-step
+    formula and the result is C-contiguous.  (A row whose step does
+    underflow comes out as ``lows[i]`` repeated, then ``highs[i]``; the
+    scalar call repeats points there as well, so the row constructor
+    rejects that row either way.)
+    """
+    steps = (highs - lows) / (n - 1)
+    xs = np.multiply.outer(steps, np.arange(n, dtype=float))
+    xs += lows[:, None]
+    xs[:, -1] = highs
+    return xs
+
+
+def _normalised_rows(xs: np.ndarray, masses: np.ndarray, kind: str) -> "PdfRows | None":
+    """The row-wise :class:`SampledPdf` constructor for grids of 2+ points.
+
+    ``masses`` must be finite and is normalised in place.  ``None`` when a
+    row of ``xs`` is not strictly increasing, since the scalar constructor
+    would then reorder or merge it (or raise): a NaN or infinite grid point
+    always breaks the order, because a grid's first point is ``0 * step +
+    low``, which is NaN whenever the step or ``low`` is not finite.
+    """
+    if not (xs[:, 1:] > xs[:, :-1]).all():
+        return None
+    totals = masses.sum(axis=1)
+    if not (totals > 0.0).all():
+        return None
+    masses /= totals[:, None]
+    cumulative = np.cumsum(masses, axis=1)
+    cumulative[:, -1] = 1.0
+    return PdfRows(xs, masses, cumulative, kind)
 
 
 class Pdf:
@@ -231,14 +294,30 @@ class SampledPdf(Pdf):
         idx = int(np.searchsorted(self._xs, z, side="right"))
         if idx == 0:
             raise PdfError(f"no probability mass at or below split point {z!r}")
-        return SampledPdf(self._xs[:idx], self._masses[:idx], kind=self.kind)
+        return self._renormalised(slice(None, idx))
 
     def truncate_right(self, z: float) -> "SampledPdf":
         """Return the pdf conditioned on the value being ``> z``."""
         idx = int(np.searchsorted(self._xs, z, side="right"))
         if idx >= self._xs.size:
             raise PdfError(f"no probability mass above split point {z!r}")
-        return SampledPdf(self._xs[idx:], self._masses[idx:], kind=self.kind)
+        return self._renormalised(slice(idx, None))
+
+    def _renormalised(self, samples: slice) -> "SampledPdf":
+        """``SampledPdf(xs[samples], masses[samples])``, without re-sorting.
+
+        A slice of sorted, merged samples is still sorted and merged, so of
+        the constructor's work only the normalisation is left; it is done
+        with the same operations, so the result is bit-identical.
+        """
+        masses = self._masses[samples]
+        total = float(masses.sum())
+        if total <= 0.0:
+            raise PdfError("total probability mass must be positive")
+        masses = masses / total
+        cumulative = np.cumsum(masses)
+        cumulative[-1] = 1.0
+        return SampledPdf._adopt(self._xs[samples], masses, cumulative, self.kind)
 
     def split_at(self, z: float) -> tuple[float, "SampledPdf | None", "SampledPdf | None"]:
         """Split the pdf at ``z`` into left/right conditional pdfs.
@@ -316,6 +395,86 @@ class SampledPdf(Pdf):
             # mass so the pdf remains well defined.
             return cls.uniform(low, high, n_samples)
         return cls(xs, density / total, kind="gaussian")
+
+    # -- the same factories, one row per cell --------------------------------
+
+    @staticmethod
+    def point_rows(values: np.ndarray) -> "PdfRows | None":
+        """:meth:`point` of every value, as rows (``None`` if one is not finite)."""
+        if not np.isfinite(values).all():
+            return None
+        xs = np.array(values, dtype=float).reshape(-1, 1)  # a copy: never alias X
+        ones = np.ones_like(xs)
+        return PdfRows(xs, ones, ones.copy(), "point")
+
+    @classmethod
+    def uniform_rows(cls, lows: np.ndarray, highs: np.ndarray, n_samples: int) -> "PdfRows | None":
+        """:meth:`uniform` of every ``(lows[i], highs[i])``, as rows, or ``None``.
+
+        ``None`` when a support is empty or inverted, since that cell would
+        be a point mass (or an error) instead of ``n_samples`` points.
+        """
+        if not (highs >= lows).all():
+            return None
+        if n_samples == 1:
+            return cls.point_rows((lows + highs) / 2.0)
+        if not (highs > lows).all():
+            return None
+        masses = np.full((lows.size, n_samples), 1.0 / n_samples)
+        return _normalised_rows(_linspace_rows(lows, highs, n_samples), masses, "uniform")
+
+    @classmethod
+    def gaussian_rows(
+        cls,
+        means: np.ndarray,
+        std: float,
+        lows: np.ndarray,
+        highs: np.ndarray,
+        n_samples: int,
+    ) -> "PdfRows | None":
+        """:meth:`gaussian` of every ``means[i]`` on ``[lows[i], highs[i]]``, as rows.
+
+        All cells share ``std`` and ``n_samples``.  ``None`` when some cell
+        would not come out as an ``n_samples``-point grid (see
+        :class:`PdfRows`).
+        """
+        if std == 0:
+            return cls.point_rows(means)
+        if not (highs > lows).all():
+            return None
+        if n_samples == 1:
+            return cls.point_rows(means)
+        xs = _linspace_rows(lows, highs, n_samples)
+        # The scalar factory's exp(-0.5 * z * z) with z = (xs - mean) / std,
+        # in place: the same elementwise operations in the same order.
+        z = xs - means[:, None]
+        z /= std
+        density = np.multiply(z, -0.5)
+        density *= z
+        np.exp(density, out=density)
+        totals = density.sum(axis=1)
+        if not (totals > 0.0).all():
+            return None
+        density /= totals[:, None]
+        return _normalised_rows(xs, density, "gaussian")
+
+    @classmethod
+    def _adopt(
+        cls, xs: np.ndarray, masses: np.ndarray, cumulative: np.ndarray, kind: str
+    ) -> "SampledPdf":
+        """Wrap arrays already in this class's normal form, without copying.
+
+        The arrays must be what the constructor would store (sorted,
+        merged, normalised, last cumulative entry 1); they are adopted
+        as they are, so read-only views of shared storage stay shared.
+        """
+        pdf = cls.__new__(cls)
+        pdf._xs = xs
+        pdf._masses = masses
+        pdf._cumulative = cumulative
+        pdf._mean = float(np.dot(xs, masses))
+        pdf.kind = kind
+        return pdf
 
     @classmethod
     def from_samples(

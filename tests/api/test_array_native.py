@@ -1,0 +1,167 @@
+"""Array-native datasets: whole-column pdfs, on-demand objects, lazy sorting.
+
+A table of ``gaussian`` / ``uniform`` / ``point`` columns is built straight
+into a :class:`~repro.core.columnar.ColumnarPdfStore` (bit-identity with the
+per-cell path is pinned by ``tests/property/test_array_native_equivalence.py``).
+These tests pin what the fast path must *not* do — build per-cell objects or
+sort columns when only classifying — and how it rejects non-finite cells.
+"""
+
+from __future__ import annotations
+
+import pickle
+import warnings
+
+import numpy as np
+import pytest
+
+from repro import UDTClassifier
+from repro.api import build_dataset, categorical, gaussian, point, samples, uniform
+from repro.core import SampledPdf, UncertainDataset
+from repro.core.columnar import ColumnarPdfStore, _AttributeColumn
+from repro.core.pdf import _linspace_rows
+from repro.ensemble import UDTForestClassifier
+from repro.exceptions import PdfError
+
+
+def _table(n_rows: int = 60, seed: int = 0):
+    rng = np.random.default_rng(seed)
+    y = np.arange(n_rows) % 3
+    X = rng.normal(0.0, 1.0, size=(n_rows, 4)) + y[:, None]
+    return X, y
+
+
+def test_linspace_rows_equal_numpy_linspace_row_by_row():
+    rng = np.random.default_rng(3)
+    lows = np.concatenate([rng.normal(0, 10, 50), [1e16, -2.5, 0.0]])
+    highs = lows + np.concatenate([rng.uniform(0, 3, 50), [1e3, 1e-12, 5e-324 * 400]])
+    for n in (2, 3, 100):
+        rows = _linspace_rows(lows, highs, n)
+        assert rows.flags.c_contiguous
+        for row, low, high in zip(rows, lows, highs):
+            assert row.tobytes() == np.linspace(low, high, n).tobytes()
+
+
+class TestArrayNativePath:
+    @pytest.mark.parametrize("spec", [gaussian(0.1, 20), uniform(0.2, 5), point(),
+                                      [gaussian(0.1, 3), uniform(0.1, 1), point(), gaussian(0.0)]])
+    def test_numerical_tables_skip_per_cell_objects(self, spec):
+        X, y = _table()
+        dataset = build_dataset(X, y, spec=spec)
+        assert dataset._tuples is None
+        assert len(dataset) == len(X)
+        assert dataset.class_labels == (0, 1, 2)
+        assert "n_tuples=60" in repr(dataset)
+        assert dataset._tuples is None  # len() and repr() build nothing
+        store = ColumnarPdfStore.from_dataset(dataset)
+        assert store is dataset._columnar_store
+
+    @pytest.mark.parametrize("spec", [{2: samples()}, {0: categorical()}])
+    def test_samples_and_categorical_tables_keep_the_per_cell_path(self, spec):
+        X, y = _table()
+        X = X.tolist()
+        if 0 in spec:
+            for row in X:
+                row[0] = "lo" if row[0] < 1 else "hi"
+        dataset = build_dataset(X, y, spec=spec)
+        assert dataset._tuples is not None
+
+    def test_tuples_are_read_only_views_of_the_store(self):
+        X, y = _table()
+        dataset = build_dataset(X, y, spec=gaussian(0.1, 10))
+        store = dataset._columnar_store
+        pdf = dataset.tuples[7].pdf(2)
+        values, masses = store.pdf_arrays(2, 7)
+        assert np.shares_memory(pdf.xs, values) and np.shares_memory(pdf.masses, masses)
+        with pytest.raises(ValueError):
+            pdf.xs[0] = 0.0
+        assert dataset.tuples[7].label == y[7]
+        assert dataset.tuples is dataset.tuples  # built once
+
+    def test_pickling_ships_the_tuples(self):
+        X, y = _table()
+        dataset = build_dataset(X, y, spec=uniform(0.1, 4))
+        restored = pickle.loads(pickle.dumps(dataset))
+        assert isinstance(restored, UncertainDataset)
+        assert restored._columnar_store is None
+        assert [t.label for t in restored] == list(y)
+        assert np.array_equal(restored.tuples[5].pdf(1).xs, dataset.tuples[5].pdf(1).xs)
+
+
+class TestPredictBuildsNothingPerCell:
+    """Regression guard: classifying arrays makes no pdf object and no sort."""
+
+    def test_predict_proba_on_arrays(self, monkeypatch):
+        X, y = _table()
+        tree = UDTClassifier(spec=gaussian(0.1, 10)).fit(X, y)
+        forest = UDTForestClassifier(spec=gaussian(0.1, 10), n_estimators=3,
+                                     random_state=0).fit(X, y)
+        created, sorted_columns = [], []
+        init, adopt, sort = (SampledPdf.__init__, SampledPdf._adopt.__func__,
+                             _AttributeColumn.sorted_view)
+
+        # Both ways a SampledPdf comes to be: the constructor and _adopt.
+        def spy_init(pdf, *args, **kwargs):
+            created.append(pdf)
+            init(pdf, *args, **kwargs)
+
+        def spy_adopt(cls, *args):
+            created.append(cls)
+            return adopt(cls, *args)
+
+        def spy_sort(column):
+            sorted_columns.append(column)
+            return sort(column)
+
+        monkeypatch.setattr(SampledPdf, "__init__", spy_init)
+        monkeypatch.setattr(SampledPdf, "_adopt", classmethod(spy_adopt))
+        monkeypatch.setattr(_AttributeColumn, "sorted_view", spy_sort)
+        queries = X[:17] + 0.1
+        tree.predict_proba(queries)
+        tree.predict(queries[:1])
+        forest.predict_proba(queries)
+        forest.member_votes(queries)
+        assert created == []
+        assert sorted_columns == []
+
+    def test_training_sorts_each_column_once(self, monkeypatch):
+        X, y = _table()
+        original = _AttributeColumn.sorted_view
+        calls = []
+
+        def spy(column):
+            calls.append(column._sorted is None)
+            return original(column)
+
+        monkeypatch.setattr(_AttributeColumn, "sorted_view", spy)
+        UDTClassifier(spec=gaussian(0.1, 10)).fit(X, y)
+        assert calls.count(True) == X.shape[1]
+
+
+class TestNonFiniteCells:
+    """NaN/Inf is rejected up front, naming the row and the column."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    @pytest.mark.parametrize("spec", [gaussian(0.1, 10), uniform(0.1, 10), point()],
+                             ids=["gaussian", "uniform", "point"])
+    @pytest.mark.parametrize("call", ["fit", "predict_proba", "partial_fit"])
+    def test_rejected_before_any_arithmetic(self, bad, spec, call):
+        X, y = _table()
+        model = UDTClassifier(spec=spec).fit(X, y)
+        X_bad = X.copy()
+        X_bad[4, 2] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PdfError, match=r"^row 4, column 2 \('A3'\) is -?(nan|inf)"):
+                if call == "fit":
+                    UDTClassifier(spec=spec).fit(X_bad, y)
+                elif call == "predict_proba":
+                    model.predict_proba(X_bad)
+                else:
+                    model.partial_fit(X_bad, y)
+
+    def test_message_uses_the_column_names(self):
+        X, y = _table()
+        X[0, 1] = np.nan
+        with pytest.raises(PdfError, match=r"row 0, column 1 \('mass'\)"):
+            build_dataset(X, y, spec=gaussian(), attribute_names=["a", "mass", "c", "d"])

@@ -163,6 +163,26 @@ class TestTruncation:
         p_left, left, right = pdf.split_at(5.0)
         assert p_left == 1.0 and right is None and left is not None
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_truncation_equals_the_constructor_on_the_slice(self, seed):
+        """Truncating skips the re-sort but must match it bit for bit."""
+        rng = np.random.default_rng(seed)
+        xs = np.round(rng.normal(0.0, 3.0, 40), seed % 3)  # rounding merges duplicates
+        pdf = SampledPdf(xs, rng.random(40), kind="gaussian")
+        for z in (pdf.xs[0], float(np.median(pdf.xs)), pdf.xs[-2]):
+            idx = int(np.searchsorted(pdf.xs, z, side="right"))
+            for got, samples in ((pdf.truncate_left(z), slice(None, idx)),
+                                 (pdf.truncate_right(z), slice(idx, None))):
+                ref = SampledPdf(pdf.xs[samples], pdf.masses[samples], kind="gaussian")
+                assert got.kind == ref.kind and got.mean() == ref.mean()
+                for name in ("xs", "masses", "cumulative"):
+                    assert getattr(got, name).tobytes() == getattr(ref, name).tobytes()
+
+    def test_truncating_to_zero_mass_raises(self):
+        pdf = SampledPdf([1.0, 2.0, 3.0], [0.0, 0.0, 1.0])
+        with pytest.raises(PdfError, match="total probability mass must be positive"):
+            pdf.truncate_left(2.0)
+
     def test_split_preserves_conditional_mean_decomposition(self):
         pdf = SampledPdf([0.0, 1.0, 2.0, 3.0], [0.1, 0.4, 0.3, 0.2])
         p_left, left, right = pdf.split_at(1.0)

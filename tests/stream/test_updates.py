@@ -186,6 +186,30 @@ class TestResplit:
         assert depth(model.tree_.root) <= 3
 
 
+class TestResplitTrigger:
+    def test_gain_matches_the_per_tuple_search(self, fitted_tree, drift_data):
+        """root_split_gain searches the leaf buffer's columnar store; on the
+        routed (fractional, truncated) tuples it must give exactly the gain
+        of the per-tuple contexts' best split."""
+        from repro.core.stats import SplitSearchStats
+
+        X, y = drift_data
+        fitted_tree.partial_fit(X, y, resplit_min_weight=1e12)
+        builder = fitted_tree._make_builder()
+        checked = 0
+        for state in fitted_tree.tree_._stream_updater._states.values():
+            local = UncertainDataset(fitted_tree.tree_.attributes, state.buffer,
+                                     class_labels=fitted_tree.tree_.class_labels)
+            gain = builder.root_split_gain(local)
+            if gain == 0.0:
+                continue
+            best = builder._find_numerical_split(local.tuples, local, SplitSearchStats())
+            class_weights = builder._class_weights(local.tuples, local)
+            assert gain == builder.measure.node_dispersion(class_weights) - best.dispersion
+            checked += 1
+        assert checked, "the drift was designed to leave a splittable leaf buffer"
+
+
 class TestLineage:
     def test_partial_fit_bumps_update_generation(self, fitted_tree, stream_data):
         X, y = stream_data
