@@ -15,7 +15,7 @@ from repro.core import UDTClassifier
 from repro.data import inject_uncertainty, load_dataset
 from repro.eval import format_table
 
-from helpers import BENCH_ENGINE, BENCH_SAMPLES, BENCH_SCALE, save_artifact, save_json_artifact
+from helpers import BENCH_SAMPLES, BENCH_SCALE, save_artifact, save_json_artifact
 
 _MEASURES = ("entropy", "gini", "gain_ratio")
 _DATASET = "Glass"
@@ -34,8 +34,8 @@ def bench_ablation_dispersion_measure(benchmark, measure):
     training = _training()
 
     def run():
-        exhaustive = UDTClassifier(strategy="UDT", measure=measure, engine=BENCH_ENGINE).fit(training)
-        pruned = UDTClassifier(strategy="UDT-GP", measure=measure, engine=BENCH_ENGINE).fit(training)
+        exhaustive = UDTClassifier(strategy="UDT", measure=measure).fit(training)
+        pruned = UDTClassifier(strategy="UDT-GP", measure=measure).fit(training)
         return exhaustive, pruned
 
     exhaustive, pruned = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from repro.eval import NoiseModelExperiment, format_noise_model_results
 
-from helpers import BENCH_ENGINE, BENCH_SAMPLES, BENCH_SCALE, save_artifact, save_json_artifact
+from helpers import BENCH_SAMPLES, BENCH_SCALE, save_artifact, save_json_artifact
 
 _PERTURBATIONS = (0.0, 0.05, 0.10)
 _WIDTHS = (0.0, 0.05, 0.10, 0.20)
@@ -23,8 +23,7 @@ _WIDTHS = (0.0, 0.05, 0.10, 0.20)
 def bench_fig4_noise_model(benchmark):
     """Run the (u, w) accuracy grid; the benchmark times one grid cell."""
     experiment = NoiseModelExperiment(
-        "Segment", scale=BENCH_SCALE * 0.3, n_samples=BENCH_SAMPLES, n_folds=3, seed=23,
-        engine=BENCH_ENGINE,
+        "Segment", scale=BENCH_SCALE * 0.3, n_samples=BENCH_SAMPLES, n_folds=3, seed=23
     )
     results = experiment.run(perturbation_fractions=_PERTURBATIONS, width_fractions=_WIDTHS)
     model_curve = experiment.model_curve(

@@ -7,28 +7,18 @@ UDT slowest; in this Python/numpy implementation the ordering of the pruned
 variants relative to plain UDT also tracks the number of entropy
 calculations (see Fig. 7), although constant factors differ from the paper's
 Java implementation.
-
-The report step additionally cross-checks the two tree-construction engines
-(the columnar default against the per-tuple object walker): every strategy
-must report identical entropy-calculation counts and build bitwise-identical
-trees on both engines, and the columnar engine's speedup on baseline UDT is
-measured and archived in ``BENCH_fig6.json``.
 """
 
 from __future__ import annotations
 
-import time
-
 import pytest
 
-from repro.core import UDTClassifier
 from repro.eval import EfficiencyExperiment, format_efficiency_results
 
 from helpers import BENCH_SAMPLES, BENCH_SCALE, save_artifact, save_json_artifact
 
 _DATASETS = ("Iris", "Glass", "Ionosphere")
 _ALGORITHMS = ("AVG", "UDT", "UDT-BP", "UDT-LP", "UDT-GP", "UDT-ES")
-_STRATEGIES = tuple(a for a in _ALGORITHMS if a != "AVG")
 
 _results = []
 _training_cache = {}
@@ -44,18 +34,6 @@ def _training_data(name: str):
     if name not in _training_cache:
         _training_cache[name] = _experiment(name).prepare_training_data()
     return _training_cache[name]
-
-
-def _timed_fit(training, strategy: str, engine: str, repeats: int = 3):
-    """Best-of-``repeats`` wall time plus the last fitted model."""
-    best = float("inf")
-    model = None
-    for _ in range(repeats):
-        model = UDTClassifier(strategy=strategy, engine=engine)
-        start = time.perf_counter()
-        model.fit(training)
-        best = min(best, time.perf_counter() - start)
-    return best, model
 
 
 @pytest.mark.parametrize("algorithm", _ALGORITHMS)
@@ -77,14 +55,10 @@ def bench_fig6_report(benchmark):
         "\nthe paper's Fig. 6 ordering is reproduced faithfully by the entropy-calculation"
         "\ncounts (Fig. 7), which are implementation-independent."
     )
-
-    # Engine cross-check: both engines must agree on every strategy, and the
-    # columnar engine should be markedly faster on baseline UDT.
     records = [
         {
             "dataset": r.dataset,
             "algorithm": r.algorithm,
-            "engine": "columnar",
             "wall_seconds": r.elapsed_seconds,
             "entropy_calculations": r.entropy_calculations,
             "candidate_split_points": r.candidate_split_points,
@@ -92,72 +66,8 @@ def bench_fig6_report(benchmark):
         }
         for r in _results
     ]
-    speedups = {}
-    for dataset in _DATASETS:
-        training = _training_data(dataset)
-        for strategy in _STRATEGIES:
-            columnar_time, columnar = _timed_fit(training, strategy, "columnar")
-            tuples_time, tuples = _timed_fit(training, strategy, "tuples")
-            assert columnar is not None and tuples is not None
-            columnar_stats = columnar.build_stats_.split_search
-            tuples_stats = tuples.build_stats_.split_search
-            assert (
-                columnar.tree_.structure_signature() == tuples.tree_.structure_signature()
-            ), (dataset, strategy)
-            if strategy == "UDT-ES":
-                # End-point sampling prunes against a running threshold, so a
-                # last-bit dispersion difference between the engines (the
-                # per-tuple path renormalises pdf masses at every truncation,
-                # the columnar path scales once) can shift how much *work*
-                # the pruning saved, even though the resulting tree is
-                # identical.  Allow a small drift in the counts.
-                assert columnar_stats.entropy_evaluations == pytest.approx(
-                    tuples_stats.entropy_evaluations, rel=0.02
-                ), (dataset, strategy)
-            else:
-                assert (
-                    columnar_stats.entropy_evaluations == tuples_stats.entropy_evaluations
-                ), (dataset, strategy)
-                assert (
-                    columnar_stats.lower_bound_evaluations
-                    == tuples_stats.lower_bound_evaluations
-                ), (dataset, strategy)
-            records.append(
-                {
-                    "dataset": dataset,
-                    "algorithm": strategy,
-                    "engine": "tuples",
-                    "wall_seconds": tuples_time,
-                    "entropy_calculations": tuples_stats.entropy_evaluations
-                    + tuples_stats.lower_bound_evaluations,
-                    "n_nodes": tuples.tree_.n_nodes,
-                }
-            )
-            if strategy == "UDT":
-                speedups[dataset] = tuples_time / columnar_time
-
-    geometric_mean = 1.0
-    for value in speedups.values():
-        geometric_mean *= value
-    geometric_mean **= 1.0 / max(len(speedups), 1)
-
-    body += (
-        "\n\nColumnar engine speedup on baseline UDT (per-tuple engine time /"
-        "\ncolumnar engine time, best of 3, identical trees and entropy counts):\n"
-    )
-    for dataset, value in speedups.items():
-        body += f"  {dataset}: {value:.2f}x\n"
-    body += f"  geometric mean: {geometric_mean:.2f}x\n"
     save_artifact("fig6_execution_time", "Fig. 6 — execution time per algorithm", body)
-    save_json_artifact(
-        "fig6",
-        records,
-        params={"width_fraction": 0.10, "seed": 29},
-        extra={
-            "udt_speedup_columnar_vs_tuples": speedups,
-            "udt_speedup_geometric_mean": geometric_mean,
-        },
-    )
+    save_json_artifact("fig6", records, params={"width_fraction": 0.10, "seed": 29})
 
     # Shape checks (implementation independent): AVG, which processes a
     # single mean instead of s samples per pdf, does far less work than
@@ -169,10 +79,3 @@ def bench_fig6_report(benchmark):
         rows = {r.algorithm: r for r in _results if r.dataset == dataset}
         if len(rows) == len(_ALGORITHMS):
             assert rows["AVG"].entropy_calculations < rows["UDT"].entropy_calculations
-    # The columnar engine must win clearly on baseline UDT overall.  Only
-    # asserted at quarter scale upwards: at CI smoke scale the individual
-    # fits are milliseconds, where a loaded shared runner can distort the
-    # ratio with no code change (the value is archived in BENCH_fig6.json
-    # either way).
-    if BENCH_SCALE >= 0.25:
-        assert geometric_mean > 1.5, speedups

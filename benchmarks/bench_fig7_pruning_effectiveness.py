@@ -16,7 +16,7 @@ import pytest
 
 from repro.eval import EfficiencyExperiment, format_table
 
-from helpers import BENCH_ENGINE, BENCH_SAMPLES, BENCH_SCALE, save_artifact, save_json_artifact
+from helpers import BENCH_SAMPLES, BENCH_SCALE, save_artifact, save_json_artifact
 
 _DATASETS = ("Iris", "Glass", "BreastCancer")
 _ALGORITHMS = ("UDT", "UDT-BP", "UDT-LP", "UDT-GP", "UDT-ES")
@@ -29,8 +29,7 @@ _nodes: dict[str, dict[str, int]] = {}
 def bench_fig7_pruning_effectiveness(benchmark, dataset):
     """Count entropy calculations per algorithm (one benchmark per dataset)."""
     experiment = EfficiencyExperiment(
-        dataset, scale=BENCH_SCALE, n_samples=BENCH_SAMPLES, width_fraction=0.10, seed=31,
-        engine=BENCH_ENGINE,
+        dataset, scale=BENCH_SCALE, n_samples=BENCH_SAMPLES, width_fraction=0.10, seed=31
     )
     training = experiment.prepare_training_data()
 

@@ -10,7 +10,7 @@ import pytest
 
 from repro.eval import SensitivityExperiment, format_sensitivity_results
 
-from helpers import BENCH_ENGINE, BENCH_SCALE, save_artifact, save_json_artifact
+from helpers import BENCH_SCALE, save_artifact, save_json_artifact
 
 _SAMPLE_COUNTS = (25, 50, 75, 100)
 _DATASET = "Glass"
@@ -21,7 +21,7 @@ _results = []
 @pytest.mark.parametrize("n_samples", _SAMPLE_COUNTS)
 def bench_fig8_effect_of_s(benchmark, n_samples):
     """Time one UDT-ES build at the given s."""
-    experiment = SensitivityExperiment(_DATASET, scale=BENCH_SCALE, seed=37, engine=BENCH_ENGINE)
+    experiment = SensitivityExperiment(_DATASET, scale=BENCH_SCALE, seed=37)
 
     def run():
         return experiment.sweep_samples(sample_counts=(n_samples,), width_fraction=0.10)[0]

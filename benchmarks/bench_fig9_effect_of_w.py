@@ -14,7 +14,7 @@ from repro.core import UDTClassifier
 from repro.data import inject_uncertainty, load_dataset
 from repro.eval import format_table
 
-from helpers import BENCH_ENGINE, BENCH_SAMPLES, BENCH_SCALE, save_artifact, save_json_artifact
+from helpers import BENCH_SAMPLES, BENCH_SCALE, save_artifact, save_json_artifact
 
 _WIDTHS = (0.02, 0.05, 0.10, 0.20)
 _DATASET = "Glass"
@@ -31,7 +31,7 @@ def bench_fig9_effect_of_w(benchmark, width):
     )
 
     def run():
-        return UDTClassifier(strategy="UDT-ES", engine=BENCH_ENGINE).fit(uncertain)
+        return UDTClassifier(strategy="UDT-ES").fit(uncertain)
 
     model = benchmark.pedantic(run, rounds=1, iterations=1)
     stats = model.build_stats_

@@ -33,7 +33,7 @@ from repro.core.udt import UDTClassifier
 from repro.ensemble import UDTForestClassifier
 from repro.eval.crossval import train_test_split
 
-from helpers import BENCH_ENGINE, BENCH_SAMPLES, BENCH_SCALE, save_artifact, save_json_artifact
+from helpers import BENCH_SAMPLES, BENCH_SCALE, save_artifact, save_json_artifact
 
 #: Fig-4 noise model parameters: perturbation magnitude u and pdf width w.
 _PERTURBATION = 0.10
@@ -67,7 +67,6 @@ def _forest(n_trees: int, n_jobs: int = 1) -> UDTForestClassifier:
     return UDTForestClassifier(
         n_estimators=n_trees,
         spec=gaussian(w=_WIDTH, s=BENCH_SAMPLES),
-        engine=BENCH_ENGINE,
         n_jobs=n_jobs,
         random_state=7,
     )
@@ -79,9 +78,7 @@ def bench_forest(benchmark):
 
     # The w-matched single-tree baseline the ensemble must meet or beat.
     started = time.perf_counter()
-    tree = UDTClassifier(
-        spec=gaussian(w=_WIDTH, s=BENCH_SAMPLES), engine=BENCH_ENGINE
-    ).fit(X_train, y_train)
+    tree = UDTClassifier(spec=gaussian(w=_WIDTH, s=BENCH_SAMPLES)).fit(X_train, y_train)
     tree_seconds = time.perf_counter() - started
     tree_accuracy = tree.score(X_test, y_test)
 

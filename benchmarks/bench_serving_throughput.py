@@ -1,4 +1,4 @@
-"""Serving throughput: micro-batching vs single-row requests, per engine.
+"""Serving throughput: micro-batching vs single-row requests.
 
 The serving-side analogue of the paper's Figs. 6-7 efficiency story: just as
 UDT amortises entropy work across a tuple's pdf samples, the serving
@@ -8,8 +8,7 @@ driver measures, over a live :class:`~repro.serve.http.ServingHTTPServer`
 on the loopback interface:
 
 * **client-side batching** — rows/sec and per-request latency when the same
-  row stream is posted in requests of 1, 8 and 64 rows, for both the
-  ``columnar`` batch classifier and the per-row ``tuples`` walker;
+  row stream is posted in requests of 1, 8 and 64 rows;
 * **server-side coalescing** — concurrent single-row clients whose requests
   the engine's coalescer regroups into larger model invocations (reported
   as the mean coalesced batch size from ``/metrics``).
@@ -17,8 +16,7 @@ on the loopback interface:
 Artifacts: ``serving_throughput.txt`` (human-readable table) and
 ``BENCH_serving_throughput.json`` with one record per measured
 configuration.  The acceptance bar asserted here: micro-batched throughput
-(64-row requests) on the columnar engine is at least 5x the
-single-row-per-request throughput.
+(64-row requests) is at least 5x the single-row-per-request throughput.
 """
 
 from __future__ import annotations
@@ -108,7 +106,6 @@ def _measure_coalescing(models_dir, rows) -> dict:
     batches = metrics["batch_count"] - 1
     return {
         "mode": "coalesced-concurrent",
-        "predict_engine": "columnar",
         "concurrency": _CONCURRENCY,
         "requests": len(rows),
         "rows": len(rows),
@@ -126,50 +123,43 @@ def bench_serving_throughput(benchmark, tmp_path):
 
     def sweep() -> list:
         records = []
-        for engine in ("columnar", "tuples"):
-            server, thread, client = _start_server(
-                tmp_path, max_batch=64, max_wait_ms=0.5, predict_engine=engine
-            )
-            try:
-                client.predict("demo", rows[:1])  # warm-up
-                for batch_size in _BATCH_SIZES:
-                    measured = _measure_batched(client, rows, batch_size)
-                    records.append(
-                        {"mode": "client-batched", "predict_engine": engine,
-                         "batch_size": batch_size, **measured}
-                    )
-            finally:
-                server.close()
-                thread.join(timeout=5.0)
+        server, thread, client = _start_server(tmp_path, max_batch=64, max_wait_ms=0.5)
+        try:
+            client.predict("demo", rows[:1])  # warm-up
+            for batch_size in _BATCH_SIZES:
+                measured = _measure_batched(client, rows, batch_size)
+                records.append(
+                    {"mode": "client-batched", "batch_size": batch_size, **measured}
+                )
+        finally:
+            server.close()
+            thread.join(timeout=5.0)
         records.append(_measure_coalescing(tmp_path, rows))
         return records
 
     records = benchmark(sweep)
 
     throughput = {
-        (r["predict_engine"], r["batch_size"]): r["rows_per_second"]
+        r["batch_size"]: r["rows_per_second"]
         for r in records
         if r["mode"] == "client-batched"
     }
-    speedup = throughput[("columnar", 64)] / throughput[("columnar", 1)]
+    speedup = throughput[64] / throughput[1]
     coalesced = next(r for r in records if r["mode"] == "coalesced-concurrent")
 
     lines = [
-        f"{'engine':>9}  {'rows/req':>8}  {'rows/sec':>9}  "
-        f"{'p50 ms':>7}  {'p99 ms':>7}",
+        f"{'rows/req':>8}  {'rows/sec':>9}  {'p50 ms':>7}  {'p99 ms':>7}",
     ]
     for record in records:
         if record["mode"] != "client-batched":
             continue
         lines.append(
-            f"{record['predict_engine']:>9}  {record['batch_size']:>8}  "
+            f"{record['batch_size']:>8}  "
             f"{record['rows_per_second']:>9.0f}  "
             f"{record['latency_ms_p50']:>7.2f}  {record['latency_ms_p99']:>7.2f}"
         )
     lines.append("")
-    lines.append(
-        f"columnar micro-batching speedup (64 rows/request vs 1): {speedup:.1f}x"
-    )
+    lines.append(f"micro-batching speedup (64 rows/request vs 1): {speedup:.1f}x")
     lines.append(
         f"server-side coalescing ({_CONCURRENCY} concurrent single-row clients): "
         f"{coalesced['rows_per_second']:.0f} rows/sec, "
@@ -190,17 +180,14 @@ def bench_serving_throughput(benchmark, tmp_path):
             "max_batch": 64,
         },
         extra={
-            "speedup_batch64_vs_single_columnar": speedup,
+            "speedup_batch64_vs_single": speedup,
             "coalesced_rows_per_second": coalesced["rows_per_second"],
         },
     )
 
     # Acceptance bar: amortising per-request costs over 64-row batches must
-    # buy at least 5x throughput on the columnar engine.
+    # buy at least 5x throughput.
     assert speedup >= 5.0, throughput
-    # The per-row tuples walker cannot beat the columnar batch classifier
-    # at full batch size (that is the engine the coalescer exists for).
-    assert throughput[("columnar", 64)] >= throughput[("tuples", 64)]
     # And the coalescer did coalesce: concurrent single-row requests reached
     # the model in strictly fewer, larger invocations.
     assert coalesced["model_invocations"] < coalesced["requests"]

@@ -19,7 +19,7 @@ from repro.core import UDTClassifier
 from repro.data import inject_uncertainty, load_dataset
 from repro.eval import AccuracyExperiment, format_accuracy_results
 
-from helpers import BENCH_ENGINE, BENCH_SAMPLES, BENCH_SCALE, save_artifact, save_json_artifact
+from helpers import BENCH_SAMPLES, BENCH_SCALE, save_artifact, save_json_artifact
 
 #: Datasets evaluated by cross validation get fewer folds at bench scale.
 _BENCH_FOLDS = 3
@@ -58,8 +58,7 @@ def bench_table3_dataset(benchmark, name, error_models):
     """Accuracy sweep for one dataset; the benchmark times one UDT fit."""
     scale = _dataset_scale(name)
     experiment = AccuracyExperiment(
-        name, scale=scale, n_samples=BENCH_SAMPLES, n_folds=_BENCH_FOLDS, seed=17,
-        engine=BENCH_ENGINE,
+        name, scale=scale, n_samples=BENCH_SAMPLES, n_folds=_BENCH_FOLDS, seed=17
     )
     results = experiment.run(width_fractions=_WIDTHS, error_models=error_models)
     _collected_rows.extend(results)
@@ -70,7 +69,7 @@ def bench_table3_dataset(benchmark, name, error_models):
         training = inject_uncertainty(
             training, width_fraction=0.10, n_samples=BENCH_SAMPLES, error_model=error_models[0]
         )
-    benchmark(lambda: UDTClassifier(strategy="UDT-ES", engine=BENCH_ENGINE).fit(training))
+    benchmark(lambda: UDTClassifier(strategy="UDT-ES").fit(training))
 
     # Shape check: UDT should not lose badly to AVG in any configuration.
     # (At bench scale the per-fold variance is high, so the tight claim is

@@ -43,10 +43,6 @@ BENCH_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "0.25"))
 #: Number of pdf sample points (the paper uses s = 100).
 BENCH_SAMPLES = int(os.environ.get("REPRO_BENCH_SAMPLES", "40"))
 
-#: Default tree-construction engine used by the drivers (overridable so the
-#: per-tuple engine can be trended from the same harness).
-BENCH_ENGINE = os.environ.get("REPRO_BENCH_ENGINE", "columnar")
-
 
 def save_artifact(name: str, title: str, body: str) -> None:
     """Persist a regenerated table/figure and echo it to stdout."""
@@ -82,12 +78,11 @@ def save_json_artifact(
             "samples": BENCH_SAMPLES,
             "python": platform.python_version(),
             "numpy": np.__version__,
-            # API/engine metadata: which library version and construction
-            # engine produced the numbers, and which persistence format the
-            # models of that build serialise to — so archived BENCH_*.json
-            # files remain interpretable across releases.
+            # API metadata: which library version produced the numbers, and
+            # which persistence format the models of that build serialise
+            # to — so archived BENCH_*.json files remain interpretable
+            # across releases.
             "repro_version": repro.__version__,
-            "engine": BENCH_ENGINE,
             "model_format_version": FORMAT_VERSION,
             **(params or {}),
         },

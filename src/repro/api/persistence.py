@@ -713,7 +713,6 @@ def read_model_metadata(path) -> dict:
         "attributes": [
             {"name": entry.get("name"), "kind": entry.get("kind")} for entry in attributes
         ],
-        "engine": params.get("engine"),
         "strategy": params.get("strategy"),
         # Lineage (None / 0 for archives written before streaming updates).
         "trained_at": payload.get("trained_at"),
@@ -765,6 +764,12 @@ def _restore_fitted_arrays(model, payload: dict, attributes) -> None:
     model.update_generation_ = int(payload.get("update_generation") or 0)
 
 
+#: Parameters that archives written by earlier versions store but the
+#: estimators no longer take (``engine`` chose between two construction paths
+#: that built identical trees); dropped on load.
+_RETIRED_PARAMS = frozenset({"engine"})
+
+
 def _instantiate_estimator(payload: dict):
     classes = _estimator_classes()
     class_name = payload.get("estimator_class")
@@ -773,7 +778,17 @@ def _instantiate_estimator(payload: dict):
         raise PersistenceError(
             f"unknown estimator class {class_name!r}; expected one of {sorted(classes)}"
         )
-    params = {name: _decode_param(value) for name, value in payload["params"].items()}
+    accepted = set(estimator_class._param_names())
+    params = {}
+    for name, value in payload["params"].items():
+        if name in _RETIRED_PARAMS:
+            continue
+        if name not in accepted:
+            raise PersistenceError(
+                f"archive parameter {name!r} is not a parameter of {class_name}; "
+                "the archive was written by an incompatible library"
+            )
+        params[name] = _decode_param(value)
     return estimator_class(**params)
 
 

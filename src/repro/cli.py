@@ -42,7 +42,6 @@ from typing import Sequence
 
 from repro import __version__
 from repro.core import AveragingClassifier, UDTClassifier
-from repro.core.builder import ENGINE_NAMES
 from repro.data import table1_dataset
 from repro.eval import (
     AccuracyExperiment,
@@ -89,9 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--samples", type=int, default=30,
                          help="pdf sample count s (paper uses 100)")
         sub.add_argument("--seed", type=int, default=0, help="random seed")
-        sub.add_argument("--engine", choices=ENGINE_NAMES, default="columnar",
-                         help="tree-construction engine (both build identical trees; "
-                              "'columnar' is several times faster)")
         if jobs:
             sub.add_argument("--jobs", type=_positive_int, default=1,
                              help="worker count: cross-validation folds run in parallel "
@@ -180,8 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
     train_forest.add_argument("--jobs", type=_positive_int, default=1,
                               help="worker processes for member training "
                                    "(results are identical to --jobs 1)")
-    train_forest.add_argument("--engine", choices=ENGINE_NAMES, default="columnar",
-                              help="tree-construction engine for the members")
     train_forest.add_argument("--format-version", type=int, default=None,
                               choices=(2, 3), metavar="{2,3}",
                               help="persistence format of the saved archive: "
@@ -236,10 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--cache-decimals", type=int, default=None,
                        help="round cache keys to this many decimals instead of "
                             "exact feature bytes (absorbs sub-ulp client jitter)")
-    serve.add_argument("--predict-engine", choices=("columnar", "tuples"),
-                       default="columnar",
-                       help="batch classification path ('tuples' walks the tree "
-                            "per row; only useful for benchmarking)")
     serve.add_argument("--preload", action="store_true",
                        help="load every model at startup instead of on first request")
     serve.add_argument("--verbose", action="store_true",
@@ -497,7 +487,6 @@ def _run_train_forest(args) -> int:
             n_estimators=args.trees,
             spec=spec,
             max_depth=args.max_depth,
-            engine=args.engine,
             n_jobs=args.jobs,
             random_state=args.seed,
             bootstrap=not args.no_bootstrap,
@@ -657,7 +646,6 @@ def _run_serve(args) -> int:
             max_queue_rows_per_model=args.max_queue_rows_per_model,
             cache_size=args.cache_size,
             cache_decimals=args.cache_decimals,
-            predict_engine=args.predict_engine,
             request_timeout_s=args.request_timeout,
             workers=args.workers,
             preload=args.preload,
@@ -1095,7 +1083,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     elif args.command == "accuracy":
         experiment = AccuracyExperiment(
             args.dataset, scale=args.scale, n_samples=args.samples,
-            n_folds=args.folds, seed=args.seed, n_jobs=args.jobs, engine=args.engine,
+            n_folds=args.folds, seed=args.seed, n_jobs=args.jobs,
         )
         results = experiment.run(
             width_fractions=tuple(args.widths), error_models=(args.error_model,)
@@ -1104,7 +1092,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     elif args.command == "noise":
         experiment = NoiseModelExperiment(
             args.dataset, scale=args.scale, n_samples=args.samples, n_folds=3,
-            seed=args.seed, n_jobs=args.jobs, engine=args.engine,
+            seed=args.seed, n_jobs=args.jobs,
         )
         results = experiment.run(
             perturbation_fractions=tuple(args.perturbations),
@@ -1115,13 +1103,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         experiment = EfficiencyExperiment(
             args.dataset, scale=args.scale, n_samples=args.samples,
             width_fraction=args.width, seed=args.seed, n_jobs=args.jobs,
-            engine=args.engine,
         )
         print(format_efficiency_results(experiment.run()))
     elif args.command == "sensitivity":
-        experiment = SensitivityExperiment(
-            args.dataset, scale=args.scale, seed=args.seed, engine=args.engine,
-        )
+        experiment = SensitivityExperiment(args.dataset, scale=args.scale, seed=args.seed)
         if args.parameter == "s":
             results = experiment.sweep_samples(sample_counts=(25, 50, 75, 100))
         else:

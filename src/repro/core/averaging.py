@@ -79,7 +79,6 @@ class AveragingClassifier(MeanReductionMixin, BaseTreeEstimator):
         min_dispersion_gain: float = 1e-9,
         post_prune: bool = True,
         post_prune_confidence: float = 0.25,
-        engine: str = "columnar",
         n_jobs: int = 1,
     ) -> None:
         self.strategy = strategy
@@ -90,7 +89,6 @@ class AveragingClassifier(MeanReductionMixin, BaseTreeEstimator):
         self.min_dispersion_gain = min_dispersion_gain
         self.post_prune = post_prune
         self.post_prune_confidence = post_prune_confidence
-        self.engine = engine
         self.n_jobs = n_jobs
         self.tree_ = None
         self.build_stats_ = None

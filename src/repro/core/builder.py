@@ -7,7 +7,9 @@ attribute and split point chosen by a pluggable *split-finding strategy*
 (:mod:`repro.core.strategies`), after which the tuples are partitioned —
 fractionally, when a pdf straddles the split point — and the children are
 built recursively.  Optional C4.5-style pessimistic post-pruning is applied
-at the end (:mod:`repro.core.postprune`).
+at the end (:mod:`repro.core.postprune`).  Construction runs on the training
+set's flat-array :class:`~repro.core.columnar.ColumnarPdfStore`, one
+:class:`~repro.core.columnar.ColumnarNodeView` per node.
 
 The builder is deliberately agnostic of *how* the best split is found; the
 UDT / UDT-BP / UDT-LP / UDT-GP / UDT-ES strategies all plug in here and, by
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Hashable, Sequence
+from typing import Hashable
 
 import numpy as np
 
@@ -27,19 +29,16 @@ from repro.core.columnar import ColumnarNodeView, ColumnarPdfStore
 from repro.core.dataset import UncertainDataset, UncertainTuple
 from repro.core.dispersion import DispersionMeasure, get_measure
 from repro.core.postprune import pessimistic_prune
-from repro.core.splits import CandidateSplit, build_contexts
+from repro.core.splits import CandidateSplit
 from repro.core.stats import BuildStats, SplitSearchStats, Timer
 from repro.core.strategies import SplitFinder, get_strategy
 from repro.core.tree import DecisionTree, InternalNode, LeafNode, TreeNode
 from repro.exceptions import DatasetError, TreeError
 
-__all__ = ["TreeBuilder", "BuildResult", "ENGINE_NAMES"]
+__all__ = ["TreeBuilder", "BuildResult"]
 
 #: Weighted counts below this value are treated as zero mass.
 _EPS = 1e-9
-
-#: Valid values of the ``engine`` parameter of :class:`TreeBuilder`.
-ENGINE_NAMES = ("columnar", "tuples")
 
 #: Minimum average column size (pdf samples per numerical attribute) before
 #: ``n_jobs > 1`` switches context construction to the thread pool.  Below
@@ -85,17 +84,10 @@ class TreeBuilder:
     post_prune_confidence:
         Confidence factor of the pessimistic error estimate (C4.5 default
         0.25).
-    engine:
-        ``"columnar"`` (default) runs tree construction on the flat-array
-        :class:`~repro.core.columnar.ColumnarPdfStore`; ``"tuples"`` walks
-        the per-tuple object model.  Both engines evaluate exactly the same
-        candidate splits and report identical
-        :class:`~repro.core.stats.SplitSearchStats`; the columnar engine is
-        several times faster on realistic data.
     n_jobs:
         Number of worker threads used to build per-attribute split contexts
-        concurrently (columnar engine only).  ``1`` (default) is
-        sequential.  Threading only engages for very large stores (see
+        concurrently.  ``1`` (default) is sequential.  Threading only
+        engages for very large stores (see
         ``_THREAD_MIN_SAMPLES_PER_ATTRIBUTE``); below that size the fused
         sequential pass is faster and is used regardless of ``n_jobs``.
     """
@@ -110,15 +102,12 @@ class TreeBuilder:
         min_dispersion_gain: float = 1e-9,
         post_prune: bool = True,
         post_prune_confidence: float = 0.25,
-        engine: str = "columnar",
         n_jobs: int = 1,
     ) -> None:
         self.strategy = get_strategy(strategy)
         self.measure = get_measure(measure)
         if max_depth is not None and max_depth < 0:
             raise TreeError(f"max_depth must be non-negative, got {max_depth!r}")
-        if engine not in ENGINE_NAMES:
-            raise TreeError(f"unknown engine {engine!r}; expected one of {ENGINE_NAMES}")
         if n_jobs < 1:
             raise TreeError(f"n_jobs must be at least 1, got {n_jobs!r}")
         self.max_depth = max_depth
@@ -126,7 +115,6 @@ class TreeBuilder:
         self.min_dispersion_gain = float(min_dispersion_gain)
         self.post_prune = post_prune
         self.post_prune_confidence = float(post_prune_confidence)
-        self.engine = engine
         self.n_jobs = int(n_jobs)
 
     # -- public API ------------------------------------------------------------
@@ -139,16 +127,28 @@ class TreeBuilder:
             raise DatasetError("the training dataset has no class labels")
         stats = BuildStats()
         with Timer() as timer:
-            if self.engine == "columnar":
-                root = self._build_columnar(dataset, stats)
-            else:
+            store = ColumnarPdfStore.from_dataset(dataset, require_labels=True)
+            n_attributes = len(store.numerical_indices)
+            executor: ThreadPoolExecutor | None = None
+            if (
+                self.n_jobs > 1
+                and n_attributes > 1
+                and store.n_samples_total >= n_attributes * _THREAD_MIN_SAMPLES_PER_ATTRIBUTE
+            ):
+                executor = ThreadPoolExecutor(max_workers=self.n_jobs)
+            try:
                 root = self._build_node(
-                    dataset.tuples,
+                    store,
+                    store.root_view(),
                     dataset,
                     depth=0,
                     used_categorical=frozenset(),
                     stats=stats,
+                    executor=executor,
                 )
+            finally:
+                if executor is not None:
+                    executor.shutdown()
             if self.post_prune:
                 root, n_collapsed = pessimistic_prune(
                     root, confidence=self.post_prune_confidence
@@ -172,66 +172,27 @@ class TreeBuilder:
         tuples = dataset.tuples
         if not tuples:
             return 0.0
-        class_weights = self._class_weights(tuples, dataset)
+        # The stopping rules need only the buffer's class weights, and most
+        # checks stop there, so they run before the store is built.
+        class_weights = np.zeros(dataset.n_classes)
+        for item in tuples:
+            class_weights[dataset.label_index(item.label)] += item.weight
         total_weight = float(class_weights.sum())
         homogeneous = int(np.count_nonzero(class_weights > _EPS)) <= 1
         depth_exhausted = self.max_depth is not None and self.max_depth <= 0
         if homogeneous or depth_exhausted or total_weight < self.min_split_weight:
             return 0.0
-        node_stats = SplitSearchStats()
-        # The columnar root contexts equal the per-tuple ones, and the store
-        # memoises them, so a build of the same dataset that follows a
-        # triggered re-split reuses them.
+        # The store memoises its root contexts, so a build of the same dataset
+        # that follows a triggered re-split reuses them.
         store = ColumnarPdfStore.from_dataset(dataset, require_labels=True)
-        best_numerical = self._find_numerical_split_columnar(
-            store, store.root_view(), dataset, node_stats, None
+        best = self._find_best_split(
+            store, store.root_view(), dataset, frozenset(), SplitSearchStats(), None
         )
-        best_categorical = self._find_categorical_split(
-            tuples, dataset, frozenset(), node_stats
-        )
-        best: CandidateSplit | None = None
-        for candidate in (best_numerical, best_categorical):
-            if candidate is None or not candidate.is_valid:
-                continue
-            if best is None or candidate.dispersion < best.dispersion:
-                best = candidate
         if best is None:
             return 0.0
         return max(0.0, float(self.measure.node_dispersion(class_weights) - best.dispersion))
 
-    def _build_columnar(self, dataset: UncertainDataset, stats: BuildStats) -> TreeNode:
-        store = ColumnarPdfStore.from_dataset(dataset, require_labels=True)
-        n_attributes = len(store.numerical_indices)
-        executor: ThreadPoolExecutor | None = None
-        if (
-            self.n_jobs > 1
-            and n_attributes > 1
-            and store.n_samples_total >= n_attributes * _THREAD_MIN_SAMPLES_PER_ATTRIBUTE
-        ):
-            executor = ThreadPoolExecutor(max_workers=self.n_jobs)
-        try:
-            return self._build_node_columnar(
-                store,
-                store.root_view(),
-                dataset,
-                depth=0,
-                used_categorical=frozenset(),
-                stats=stats,
-                executor=executor,
-            )
-        finally:
-            if executor is not None:
-                executor.shutdown()
-
     # -- node construction --------------------------------------------------------
-
-    def _class_weights(
-        self, tuples: Sequence[UncertainTuple], dataset: UncertainDataset
-    ) -> np.ndarray:
-        counts = np.zeros(dataset.n_classes)
-        for item in tuples:
-            counts[dataset.label_index(item.label)] += item.weight
-        return counts
 
     def _make_leaf(
         self, class_weights: np.ndarray, stats: BuildStats
@@ -246,55 +207,6 @@ class TreeBuilder:
 
     def _build_node(
         self,
-        tuples: Sequence[UncertainTuple],
-        dataset: UncertainDataset,
-        *,
-        depth: int,
-        used_categorical: frozenset[int],
-        stats: BuildStats,
-    ) -> TreeNode:
-        class_weights = self._class_weights(tuples, dataset)
-        total_weight = float(class_weights.sum())
-
-        # Pre-pruning / stopping rules.
-        homogeneous = int(np.count_nonzero(class_weights > _EPS)) <= 1
-        depth_reached = self.max_depth is not None and depth >= self.max_depth
-        too_small = total_weight < self.min_split_weight
-        if homogeneous or depth_reached or too_small:
-            return self._make_leaf(class_weights, stats)
-
-        node_stats = SplitSearchStats()
-        best_numerical = self._find_numerical_split(tuples, dataset, node_stats)
-        best_categorical = self._find_categorical_split(
-            tuples, dataset, used_categorical, node_stats
-        )
-
-        node_dispersion = self.measure.node_dispersion(class_weights)
-        best: CandidateSplit | None = None
-        for candidate in (best_numerical, best_categorical):
-            if candidate is None or not candidate.is_valid:
-                continue
-            if best is None or candidate.dispersion < best.dispersion:
-                best = candidate
-
-        if best is None or node_dispersion - best.dispersion < self.min_dispersion_gain:
-            return self._make_leaf(class_weights, stats)
-
-        stats.record_node(node_stats)
-        if best.categorical:
-            return self._split_categorical(
-                tuples, dataset, best, class_weights,
-                depth=depth, used_categorical=used_categorical, stats=stats,
-            )
-        return self._split_numerical(
-            tuples, dataset, best, class_weights,
-            depth=depth, used_categorical=used_categorical, stats=stats,
-        )
-
-    # -- columnar node construction ---------------------------------------------------
-
-    def _build_node_columnar(
-        self,
         store: ColumnarPdfStore,
         view: ColumnarNodeView,
         dataset: UncertainDataset,
@@ -307,6 +219,7 @@ class TreeBuilder:
         class_weights = store.class_weights(view)
         total_weight = float(class_weights.sum())
 
+        # Pre-pruning / stopping rules.
         homogeneous = int(np.count_nonzero(class_weights > _EPS)) <= 1
         depth_reached = self.max_depth is not None and depth >= self.max_depth
         too_small = total_weight < self.min_split_weight
@@ -314,36 +227,48 @@ class TreeBuilder:
             return self._make_leaf(class_weights, stats)
 
         node_stats = SplitSearchStats()
-        best_numerical = self._find_numerical_split_columnar(
-            store, view, dataset, node_stats, executor
+        best = self._find_best_split(
+            store, view, dataset, used_categorical, node_stats, executor
         )
-        best_categorical = self._find_categorical_split_columnar(
-            store, view, dataset, used_categorical, node_stats
-        )
-
         node_dispersion = self.measure.node_dispersion(class_weights)
-        best: CandidateSplit | None = None
-        for candidate in (best_numerical, best_categorical):
-            if candidate is None or not candidate.is_valid:
-                continue
-            if best is None or candidate.dispersion < best.dispersion:
-                best = candidate
-
         if best is None or node_dispersion - best.dispersion < self.min_dispersion_gain:
             return self._make_leaf(class_weights, stats)
 
         stats.record_node(node_stats)
         if best.categorical:
-            return self._split_categorical_columnar(
+            return self._split_categorical(
                 store, view, dataset, best, class_weights,
                 depth=depth, used_categorical=used_categorical, stats=stats, executor=executor,
             )
-        return self._split_numerical_columnar(
+        return self._split_numerical(
             store, view, dataset, best, class_weights,
             depth=depth, used_categorical=used_categorical, stats=stats, executor=executor,
         )
 
-    def _find_numerical_split_columnar(
+    def _find_best_split(
+        self,
+        store: ColumnarPdfStore,
+        view: ColumnarNodeView,
+        dataset: UncertainDataset,
+        used_categorical: frozenset[int],
+        node_stats: SplitSearchStats,
+        executor: ThreadPoolExecutor | None,
+    ) -> CandidateSplit | None:
+        """The lower-dispersion valid split of the numerical and categorical searches."""
+        best: CandidateSplit | None = None
+        for candidate in (
+            self._find_numerical_split(store, view, dataset, node_stats, executor),
+            self._find_categorical_split(view, dataset, used_categorical, node_stats),
+        ):
+            if candidate is None or not candidate.is_valid:
+                continue
+            if best is None or candidate.dispersion < best.dispersion:
+                best = candidate
+        return best
+
+    # -- numerical splits ------------------------------------------------------------
+
+    def _find_numerical_split(
         self,
         store: ColumnarPdfStore,
         view: ColumnarNodeView,
@@ -367,7 +292,7 @@ class TreeBuilder:
             contexts = store.build_contexts(view, dataset.class_labels)
         return self.strategy.find_best_split(contexts, self.measure, node_stats)
 
-    def _split_numerical_columnar(
+    def _split_numerical(
         self,
         store: ColumnarPdfStore,
         view: ColumnarNodeView,
@@ -388,11 +313,11 @@ class TreeBuilder:
             # The chosen split does not actually discern the tuples (can only
             # happen through floating point degeneracies); fall back to a leaf.
             return self._make_leaf(class_weights, stats)
-        left_child = self._build_node_columnar(
+        left_child = self._build_node(
             store, left_view, dataset,
             depth=depth + 1, used_categorical=used_categorical, stats=stats, executor=executor,
         )
-        right_child = self._build_node_columnar(
+        right_child = self._build_node(
             store, right_view, dataset,
             depth=depth + 1, used_categorical=used_categorical, stats=stats, executor=executor,
         )
@@ -406,169 +331,29 @@ class TreeBuilder:
             training_distribution=class_weights / total if total > 0 else None,
         )
 
-    def _find_categorical_split_columnar(
-        self,
-        store: ColumnarPdfStore,
-        view: ColumnarNodeView,
-        dataset: UncertainDataset,
-        used_categorical: frozenset[int],
-        node_stats: SplitSearchStats,
-    ) -> CandidateSplit | None:
-        if not any(
-            attribute.is_categorical and index not in used_categorical
-            for index, attribute in enumerate(dataset.attributes)
-        ):
-            return None
-        return self._score_categorical_attributes(
-            dataset, used_categorical, node_stats,
-            [
-                (dataset.tuples[tuple_id], float(weight))
-                for tuple_id, weight in zip(view.tuple_ids, view.weights)
-            ],
-        )
-
-    def _split_categorical_columnar(
-        self,
-        store: ColumnarPdfStore,
-        view: ColumnarNodeView,
-        dataset: UncertainDataset,
-        split: CandidateSplit,
-        class_weights: np.ndarray,
-        *,
-        depth: int,
-        used_categorical: frozenset[int],
-        stats: BuildStats,
-        executor: ThreadPoolExecutor | None,
-    ) -> TreeNode:
-        assert split.attribute_index is not None
-        attribute_index = split.attribute_index
-        partitions: dict[Hashable, tuple[list[int], list[float]]] = {}
-        for position, (tuple_id, weight) in enumerate(zip(view.tuple_ids, view.weights)):
-            distribution = dataset.tuples[tuple_id].categorical(attribute_index)
-            for category, probability in distribution.items():
-                child_weight = weight * probability
-                if child_weight <= _EPS:
-                    continue
-                positions, weights = partitions.setdefault(category, ([], []))
-                positions.append(position)
-                weights.append(child_weight)
-        if len(partitions) < 2:
-            return self._make_leaf(class_weights, stats)
-        new_used = used_categorical | {attribute_index}
-        branches: dict[Hashable, TreeNode] = {}
-        for category, (positions, weights) in partitions.items():
-            child_view = view.select(np.asarray(positions, dtype=np.int64)).reweighted(
-                np.asarray(weights)
-            )
-            branches[category] = self._build_node_columnar(
-                store, child_view, dataset,
-                depth=depth + 1, used_categorical=new_used, stats=stats, executor=executor,
-            )
-        total = float(class_weights.sum())
-        fallback = class_weights / total if total > 0 else None
-        return InternalNode(
-            attribute_index,
-            branches=branches,
-            fallback=fallback,
-            training_weight=total,
-            training_distribution=fallback,
-        )
-
-    # -- numerical splits ------------------------------------------------------------
-
-    def _find_numerical_split(
-        self,
-        tuples: Sequence[UncertainTuple],
-        dataset: UncertainDataset,
-        node_stats: SplitSearchStats,
-    ) -> CandidateSplit | None:
-        numerical_indices = [
-            index for index, attribute in enumerate(dataset.attributes) if attribute.is_numerical
-        ]
-        if not numerical_indices:
-            return None
-        contexts = build_contexts(tuples, numerical_indices, dataset.class_labels)
-        return self.strategy.find_best_split(contexts, self.measure, node_stats)
-
-    def _split_numerical(
-        self,
-        tuples: Sequence[UncertainTuple],
-        dataset: UncertainDataset,
-        split: CandidateSplit,
-        class_weights: np.ndarray,
-        *,
-        depth: int,
-        used_categorical: frozenset[int],
-        stats: BuildStats,
-    ) -> TreeNode:
-        assert split.attribute_index is not None and split.split_point is not None
-        attribute_index = split.attribute_index
-        split_point = split.split_point
-        left_tuples: list[UncertainTuple] = []
-        right_tuples: list[UncertainTuple] = []
-        for item in tuples:
-            pdf = item.pdf(attribute_index)
-            p_left, left_pdf, right_pdf = pdf.split_at(split_point)
-            if left_pdf is not None and p_left * item.weight > _EPS:
-                left_tuples.append(
-                    item.with_feature(attribute_index, left_pdf, item.weight * p_left)
-                )
-            if right_pdf is not None and (1.0 - p_left) * item.weight > _EPS:
-                right_tuples.append(
-                    item.with_feature(attribute_index, right_pdf, item.weight * (1.0 - p_left))
-                )
-        if not left_tuples or not right_tuples:
-            # The chosen split does not actually discern the tuples (can only
-            # happen through floating point degeneracies); fall back to a leaf.
-            return self._make_leaf(class_weights, stats)
-        left_child = self._build_node(
-            left_tuples, dataset, depth=depth + 1, used_categorical=used_categorical, stats=stats
-        )
-        right_child = self._build_node(
-            right_tuples, dataset, depth=depth + 1, used_categorical=used_categorical, stats=stats
-        )
-        total = float(class_weights.sum())
-        return InternalNode(
-            attribute_index,
-            split_point=split_point,
-            left=left_child,
-            right=right_child,
-            training_weight=total,
-            training_distribution=class_weights / total if total > 0 else None,
-        )
-
     # -- categorical splits -------------------------------------------------------------
 
     def _find_categorical_split(
         self,
-        tuples: Sequence[UncertainTuple],
+        view: ColumnarNodeView,
         dataset: UncertainDataset,
         used_categorical: frozenset[int],
         node_stats: SplitSearchStats,
     ) -> CandidateSplit | None:
-        return self._score_categorical_attributes(
-            dataset, used_categorical, node_stats,
-            [(item, item.weight) for item in tuples],
-        )
-
-    def _score_categorical_attributes(
-        self,
-        dataset: UncertainDataset,
-        used_categorical: frozenset[int],
-        node_stats: SplitSearchStats,
-        weighted_items: "list[tuple[UncertainTuple, float]]",
-    ) -> CandidateSplit | None:
-        """Best multiway split over the unused categorical attributes.
-
-        ``weighted_items`` pairs every node tuple with its current
-        (fractional) weight, which is the only thing the two tree engines
-        disagree on — the scoring itself is shared so the engines can never
-        drift apart.
-        """
+        """Best multiway split over the unused categorical attributes."""
+        candidates = [
+            index
+            for index, attribute in enumerate(dataset.attributes)
+            if attribute.is_categorical and index not in used_categorical
+        ]
+        if not candidates:
+            return None
+        weighted_items = [
+            (dataset.tuples[tuple_id], float(weight))
+            for tuple_id, weight in zip(view.tuple_ids, view.weights)
+        ]
         best: CandidateSplit | None = None
-        for index, attribute in enumerate(dataset.attributes):
-            if not attribute.is_categorical or index in used_categorical:
-                continue
+        for index in candidates:
             buckets = self._categorical_buckets(dataset, index, weighted_items)
             non_empty = [counts for counts in buckets.values() if counts.sum() > _EPS]
             if len(non_empty) < 2:
@@ -611,7 +396,8 @@ class TreeBuilder:
 
     def _split_categorical(
         self,
-        tuples: Sequence[UncertainTuple],
+        store: ColumnarPdfStore,
+        view: ColumnarNodeView,
         dataset: UncertainDataset,
         split: CandidateSplit,
         class_weights: np.ndarray,
@@ -619,29 +405,31 @@ class TreeBuilder:
         depth: int,
         used_categorical: frozenset[int],
         stats: BuildStats,
+        executor: ThreadPoolExecutor | None,
     ) -> TreeNode:
         assert split.attribute_index is not None
         attribute_index = split.attribute_index
-        from repro.core.categorical import CategoricalDistribution
-
-        partitions: dict[Hashable, list[UncertainTuple]] = {}
-        for item in tuples:
-            distribution = item.categorical(attribute_index)
+        partitions: dict[Hashable, tuple[list[int], list[float]]] = {}
+        for position, (tuple_id, weight) in enumerate(zip(view.tuple_ids, view.weights)):
+            distribution = dataset.tuples[tuple_id].categorical(attribute_index)
             for category, probability in distribution.items():
-                weight = item.weight * probability
-                if weight <= _EPS:
+                child_weight = weight * probability
+                if child_weight <= _EPS:
                     continue
-                child_item = item.with_feature(
-                    attribute_index, CategoricalDistribution.certain(category), weight
-                )
-                partitions.setdefault(category, []).append(child_item)
+                positions, weights = partitions.setdefault(category, ([], []))
+                positions.append(position)
+                weights.append(child_weight)
         if len(partitions) < 2:
             return self._make_leaf(class_weights, stats)
         new_used = used_categorical | {attribute_index}
         branches: dict[Hashable, TreeNode] = {}
-        for category, child_tuples in partitions.items():
+        for category, (positions, weights) in partitions.items():
+            child_view = view.select(np.asarray(positions, dtype=np.int64)).reweighted(
+                np.asarray(weights)
+            )
             branches[category] = self._build_node(
-                child_tuples, dataset, depth=depth + 1, used_categorical=new_used, stats=stats
+                store, child_view, dataset,
+                depth=depth + 1, used_categorical=new_used, stats=stats, executor=executor,
             )
         total = float(class_weights.sum())
         fallback = class_weights / total if total > 0 else None

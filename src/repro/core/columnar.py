@@ -2,10 +2,12 @@
 
 The per-tuple object model (:class:`~repro.core.dataset.UncertainTuple`
 holding one :class:`~repro.core.pdf.SampledPdf` per attribute) is convenient
-for construction and inspection, but walking it tuple-by-tuple dominates the
-cost of tree building: every node split used to allocate hundreds of small
-pdf objects, and every :class:`~repro.core.splits.AttributeSplitContext`
-re-collected sample arrays in a Python loop.
+for construction and inspection, but walking it tuple-by-tuple would dominate
+the cost of tree building: every node split would allocate hundreds of small
+pdf objects, and every per-tuple
+:class:`~repro.core.splits.AttributeSplitContext` re-collects sample arrays in
+a Python loop.  Tree construction and batch classification therefore run on
+this store.
 
 :class:`ColumnarPdfStore` keeps, for each numerical attribute, *all* tuples'
 pdf sample points and probability masses in flat, contiguous NumPy arrays
@@ -26,19 +28,20 @@ and batch classification need:
 * :meth:`ColumnarPdfStore.build_context` — a vectorised replacement for the
   per-tuple :class:`~repro.core.splits.AttributeSplitContext` constructor,
 * :meth:`ColumnarPdfStore.build_contexts` — the same for *all* numerical
-  attributes of a node in one fused pass (the default training path; the
+  attributes of a node in one fused pass (the training path; the
   per-attribute variant remains for attribute-level thread parallelism),
 * :meth:`ColumnarPdfStore.split_numerical` — fractional partitioning of all
   of a node's tuples at a split point in one shot,
 * :meth:`ColumnarPdfStore.class_weights` — weighted class counts.
 
-The arrays stored are exact copies of the per-tuple pdfs, so the columnar
-path reproduces the object path's splits and statistics.  (The sole caveat:
-the object path renormalises pdf masses at every truncation level while the
-columnar path rescales once per node, so dispersion values can differ in the
-last bits; every strategy still builds an identical tree, and only UDT-ES —
-whose *work counts* depend on threshold near-ties — may report marginally
-different entropy-calculation counts.)
+The arrays stored are exact copies of the per-tuple pdfs, so the store
+reproduces the splits and statistics of a per-tuple recursion over the object
+model (kept in ``tests/property/reference_builder.py`` as the equivalence
+oracle).  (The sole caveat: that recursion renormalises pdf masses at every
+truncation level while the store rescales once per node, so dispersion values
+can differ in the last bits; every strategy still builds an identical tree,
+and only UDT-ES — whose *work counts* depend on threshold near-ties — may
+report marginally different entropy-calculation counts.)
 """
 
 from __future__ import annotations

@@ -115,7 +115,6 @@ class BaseTreeEstimator(ParamsMixin):
             min_dispersion_gain=self.min_dispersion_gain,
             post_prune=self.post_prune,
             post_prune_confidence=self.post_prune_confidence,
-            engine=self.engine,
             n_jobs=self.n_jobs,
         )
 
@@ -350,18 +349,6 @@ class BaseTreeEstimator(ParamsMixin):
         """Class-probability matrix for a whole dataset or array."""
         tree = self._require_tree()
         return tree.classify_batch(self._prepare_eval(self._coerce_eval(X)))
-
-    def _classify_rowwise(self, dataset: UncertainDataset) -> np.ndarray:
-        """Per-row (non-columnar) classification of a *prepared* dataset.
-
-        The serving subsystem's ``predict_engine="tuples"`` path: one
-        recursive tree walk per row.  Ensembles override this with a
-        per-tree walk accumulated in the same member order as the batch
-        path.  (Only the columnar engine promises bit-identity with offline
-        ``predict_proba``; this path matches within float tolerance.)
-        """
-        tree = self._require_tree()
-        return np.stack([tree.classify(item) for item in dataset])
 
     def score(self, X, y: Sequence[Hashable] | None = None) -> float:
         """Accuracy against ``y`` (arrays) or the dataset's own labels."""

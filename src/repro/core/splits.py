@@ -77,10 +77,11 @@ class AttributeSplitContext:
         Ordered class labels of the dataset; per-class arrays follow this
         order.
 
-    Contexts can also be built directly from precomputed per-class arrays
-    with :meth:`from_arrays`; the columnar engine
-    (:mod:`repro.core.columnar`) uses that path to avoid the per-tuple
-    Python loop of this constructor.
+    Tree construction builds its contexts from precomputed per-class arrays
+    with :meth:`from_arrays` (see :mod:`repro.core.columnar`), avoiding the
+    per-tuple Python loop of this constructor; the constructor and
+    :func:`build_contexts` remain as the reference those contexts are
+    tested against.
     """
 
     __slots__ = (
@@ -176,7 +177,7 @@ class AttributeSplitContext:
         (with the matching right-searchsorted ``candidate_idx``) and the
         per-class ``total_counts`` can be supplied when the caller already
         computed them in a fused batch.  No validation or copying is
-        performed — this is the fast path used by the columnar engine
+        performed — this is the fast path used by the columnar store
         (:mod:`repro.core.columnar`).
         """
         self = object.__new__(cls)
@@ -437,9 +438,10 @@ def prepare_sweep_group(
     numerical attributes pays one set of numpy calls instead of ``k``.  The
     per-context accumulators are recovered by rebasing each context's slice
     on its segment start, which perturbs only the last floating-point bits
-    relative to a standalone per-context sum; because *every* strategy and
-    both tree engines obtain their sweep arrays through this same function,
-    they all keep seeing identical dispersion values.
+    relative to a standalone per-context sum; because *every* strategy, on
+    store-built and per-tuple contexts alike, obtains its sweep arrays
+    through this same function, they all keep seeing identical dispersion
+    values.
 
     Contexts already carrying cached arrays for ``measure`` are left alone.
     No-op for measures without sweep support and for groups of fewer than

@@ -446,8 +446,8 @@ class DecisionTree:
 
         Two trees have equal signatures iff they test the same attributes at
         the same split points with the same topology and carry the same leaf
-        distributions — the comparison used to assert that different split
-        engines and pruning strategies build identical trees.
+        distributions — the comparison used to assert that different
+        pruning strategies build identical trees.
         """
 
         def encode(node: TreeNode) -> tuple:

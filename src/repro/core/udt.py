@@ -35,7 +35,7 @@ class UDTClassifier(BaseTreeEstimator):
         values).  See :mod:`repro.api.spec` — e.g.
         ``spec=repro.api.gaussian(w=0.1, s=100)``.
     max_depth, min_split_weight, min_dispersion_gain, post_prune,
-    post_prune_confidence, engine, n_jobs:
+    post_prune_confidence, n_jobs:
         Forwarded to :class:`~repro.core.builder.TreeBuilder`.
 
     Attributes
@@ -64,7 +64,6 @@ class UDTClassifier(BaseTreeEstimator):
         min_dispersion_gain: float = 1e-9,
         post_prune: bool = True,
         post_prune_confidence: float = 0.25,
-        engine: str = "columnar",
         n_jobs: int = 1,
     ) -> None:
         self.strategy = strategy
@@ -75,7 +74,6 @@ class UDTClassifier(BaseTreeEstimator):
         self.min_dispersion_gain = min_dispersion_gain
         self.post_prune = post_prune
         self.post_prune_confidence = post_prune_confidence
-        self.engine = engine
         self.n_jobs = n_jobs
         self.tree_ = None
         self.build_stats_ = None

@@ -181,7 +181,6 @@ class BaseForestClassifier(BaseTreeEstimator):
             "min_dispersion_gain": self.min_dispersion_gain,
             "post_prune": self.post_prune,
             "post_prune_confidence": self.post_prune_confidence,
-            "engine": self.engine,
             "n_jobs": 1,
         }
 
@@ -565,20 +564,6 @@ class BaseForestClassifier(BaseTreeEstimator):
             total = votes if total is None else total + votes
         return total / len(self.trees_)
 
-    def _classify_rowwise(self, dataset: UncertainDataset) -> np.ndarray:
-        # Same accumulation order as _classify_dataset, with each member
-        # walking the tree per row (the serving "tuples" predict engine,
-        # which matches the columnar path within float tolerance, like the
-        # single-tree estimators).
-        self._check_fitted()
-        if not len(dataset):
-            return np.zeros((0, len(self.classes_)))
-        total: "np.ndarray | None" = None
-        for tree, view in self._member_views(dataset):
-            votes = np.stack([tree.classify(item) for item in view])
-            total = votes if total is None else total + votes
-        return total / len(self.trees_)
-
     def _classify_tuple(self, item: UncertainTuple) -> np.ndarray:
         self._check_fitted()
         prepared = self._prepare_tuple(item)
@@ -630,7 +615,7 @@ class UDTForestClassifier(BaseForestClassifier):
     Parameters
     ----------
     strategy, measure, spec, max_depth, min_split_weight,
-    min_dispersion_gain, post_prune, post_prune_confidence, engine:
+    min_dispersion_gain, post_prune, post_prune_confidence:
         Per-member tree parameters, as on
         :class:`~repro.core.udt.UDTClassifier`.
     n_estimators:
@@ -685,7 +670,6 @@ class UDTForestClassifier(BaseForestClassifier):
         min_dispersion_gain: float = 1e-9,
         post_prune: bool = True,
         post_prune_confidence: float = 0.25,
-        engine: str = "columnar",
         n_jobs: int = 1,
         random_state: int = 0,
         bootstrap: bool = True,
@@ -701,7 +685,6 @@ class UDTForestClassifier(BaseForestClassifier):
         self.min_dispersion_gain = min_dispersion_gain
         self.post_prune = post_prune
         self.post_prune_confidence = post_prune_confidence
-        self.engine = engine
         self.n_jobs = n_jobs
         self.random_state = random_state
         self.bootstrap = bootstrap
@@ -734,7 +717,6 @@ class AveragingForestClassifier(MeanReductionMixin, BaseForestClassifier):
         min_dispersion_gain: float = 1e-9,
         post_prune: bool = True,
         post_prune_confidence: float = 0.25,
-        engine: str = "columnar",
         n_jobs: int = 1,
         random_state: int = 0,
         bootstrap: bool = True,
@@ -750,7 +732,6 @@ class AveragingForestClassifier(MeanReductionMixin, BaseForestClassifier):
         self.min_dispersion_gain = min_dispersion_gain
         self.post_prune = post_prune
         self.post_prune_confidence = post_prune_confidence
-        self.engine = engine
         self.n_jobs = n_jobs
         self.random_state = random_state
         self.bootstrap = bootstrap

@@ -63,13 +63,10 @@ def _evaluate_pair(
     strategy: str,
     measure: str,
     max_depth: int | None,
-    engine: str = "columnar",
 ) -> tuple[float, float]:
     """Accuracy of (AVG, UDT) trained on ``training`` and scored on ``test``."""
-    avg = AveragingClassifier(measure=measure, max_depth=max_depth, engine=engine).fit(training)
-    udt = UDTClassifier(
-        strategy=strategy, measure=measure, max_depth=max_depth, engine=engine
-    ).fit(training)
+    avg = AveragingClassifier(measure=measure, max_depth=max_depth).fit(training)
+    udt = UDTClassifier(strategy=strategy, measure=measure, max_depth=max_depth).fit(training)
     return avg.score(test), udt.score(test)
 
 
@@ -82,7 +79,6 @@ def _evaluate_uncertain_fold(
     strategy: str,
     measure: str,
     max_depth: int | None,
-    engine: str = "columnar",
 ) -> tuple[float, float]:
     """Inject uncertainty into one fold pair and evaluate (AVG, UDT) on it.
 
@@ -98,7 +94,7 @@ def _evaluate_uncertain_fold(
     )
     return _evaluate_pair(
         uncertain_training, uncertain_test,
-        strategy=strategy, measure=measure, max_depth=max_depth, engine=engine,
+        strategy=strategy, measure=measure, max_depth=max_depth,
     )
 
 
@@ -110,18 +106,15 @@ def _noise_fold_score(
     strategy: str,
     measure: str,
     max_depth: int | None,
-    engine: str = "columnar",
 ) -> float:
     """Fit and score one fold of the controlled-noise study (picklable)."""
     train_set, test_set = fold
     if width <= 0:
         model: AveragingClassifier | UDTClassifier = AveragingClassifier(
-            measure=measure, max_depth=max_depth, engine=engine
+            measure=measure, max_depth=max_depth
         )
     else:
-        model = UDTClassifier(
-            strategy=strategy, measure=measure, max_depth=max_depth, engine=engine
-        )
+        model = UDTClassifier(strategy=strategy, measure=measure, max_depth=max_depth)
     uncertain_training = inject_uncertainty(
         train_set, width_fraction=width, n_samples=n_samples, error_model="gaussian"
     )
@@ -188,9 +181,6 @@ class AccuracyExperiment:
     n_jobs:
         Number of worker processes used to evaluate cross-validation folds
         concurrently (1 = sequential; results are identical either way).
-    engine:
-        Tree-construction engine, ``"columnar"`` (default) or ``"tuples"``;
-        both build identical trees.
     """
 
     def __init__(
@@ -205,7 +195,6 @@ class AccuracyExperiment:
         max_depth: int | None = None,
         seed: int = 0,
         n_jobs: int = 1,
-        engine: str = "columnar",
     ) -> None:
         self.spec: UCIDatasetSpec = get_spec(dataset)
         self.scale = scale
@@ -216,7 +205,6 @@ class AccuracyExperiment:
         self.max_depth = max_depth
         self.seed = seed
         self.n_jobs = int(n_jobs)
-        self.engine = engine
 
     def run(
         self,
@@ -233,7 +221,6 @@ class AccuracyExperiment:
             avg_accuracy, udt_accuracy = _evaluate_pair(
                 training, test,
                 strategy=self.strategy, measure=self.measure, max_depth=self.max_depth,
-                engine=self.engine,
             )
             results.append(
                 AccuracyResult(spec.name, "raw-samples", float("nan"), avg_accuracy, udt_accuracy)
@@ -263,7 +250,6 @@ class AccuracyExperiment:
             avg_accuracy, udt_accuracy = _evaluate_pair(
                 uncertain_training, uncertain_test,
                 strategy=self.strategy, measure=self.measure, max_depth=self.max_depth,
-                engine=self.engine,
             )
             return AccuracyResult(self.spec.name, error_model, width, avg_accuracy, udt_accuracy)
 
@@ -272,7 +258,6 @@ class AccuracyExperiment:
             _evaluate_uncertain_fold,
             width=width, n_samples=self.n_samples, error_model=error_model,
             strategy=self.strategy, measure=self.measure, max_depth=self.max_depth,
-            engine=self.engine,
         )
         pairs = _map_folds(worker, folds, self.n_jobs)
         avg_scores = [pair[0] for pair in pairs]
@@ -317,7 +302,6 @@ class NoiseModelExperiment:
         max_depth: int | None = None,
         seed: int = 0,
         n_jobs: int = 1,
-        engine: str = "columnar",
     ) -> None:
         self.spec = get_spec(dataset)
         self.scale = scale
@@ -328,7 +312,6 @@ class NoiseModelExperiment:
         self.max_depth = max_depth
         self.seed = seed
         self.n_jobs = int(n_jobs)
-        self.engine = engine
         if self.spec.repeated_measurements:
             raise ExperimentError(
                 "the controlled-noise experiment requires a point-valued dataset"
@@ -382,7 +365,6 @@ class NoiseModelExperiment:
             _noise_fold_score,
             width=width, n_samples=self.n_samples,
             strategy=self.strategy, measure=self.measure, max_depth=self.max_depth,
-            engine=self.engine,
         )
         if test is not None:
             return worker((training, test))
@@ -419,7 +401,6 @@ class EfficiencyExperiment:
         max_depth: int | None = None,
         seed: int = 0,
         n_jobs: int = 1,
-        engine: str = "columnar",
     ) -> None:
         self.spec = get_spec(dataset)
         self.scale = scale
@@ -430,7 +411,6 @@ class EfficiencyExperiment:
         self.max_depth = max_depth
         self.seed = seed
         self.n_jobs = int(n_jobs)
-        self.engine = engine
 
     def prepare_training_data(self) -> UncertainDataset:
         """Load the dataset stand-in and attach the configured uncertainty."""
@@ -462,12 +442,11 @@ class EfficiencyExperiment:
         if algorithm.upper() == "AVG":
             model: AveragingClassifier | UDTClassifier = AveragingClassifier(
                 measure=self.measure, max_depth=self.max_depth, n_jobs=self.n_jobs,
-                engine=self.engine,
             )
         else:
             model = UDTClassifier(
                 strategy=algorithm, measure=self.measure, max_depth=self.max_depth,
-                n_jobs=self.n_jobs, engine=self.engine,
+                n_jobs=self.n_jobs,
             )
         with Timer() as timer:
             model.fit(training)
@@ -509,7 +488,6 @@ class SensitivityExperiment:
         error_model: str = "gaussian",
         max_depth: int | None = None,
         seed: int = 0,
-        engine: str = "columnar",
     ) -> None:
         self.spec = get_spec(dataset)
         self.scale = scale
@@ -518,7 +496,6 @@ class SensitivityExperiment:
         self.error_model = error_model
         self.max_depth = max_depth
         self.seed = seed
-        self.engine = engine
         if self.spec.repeated_measurements:
             raise ExperimentError(
                 "sensitivity studies control s and w, which the raw-sample dataset does not allow"
@@ -553,8 +530,7 @@ class SensitivityExperiment:
             error_model=self.error_model,
         )
         model = UDTClassifier(
-            strategy=self.strategy, measure=self.measure, max_depth=self.max_depth,
-            engine=self.engine,
+            strategy=self.strategy, measure=self.measure, max_depth=self.max_depth
         )
         with Timer() as timer:
             model.fit(uncertain)

@@ -39,7 +39,7 @@ from repro.serve.client import (
     RouterClient,
     ServingClient,
 )
-from repro.serve.engine import PREDICT_ENGINES, InferenceEngine
+from repro.serve.engine import InferenceEngine
 from repro.serve.http import ServingHTTPServer, create_server
 from repro.serve.metrics import (
     Counter,
@@ -61,7 +61,6 @@ __all__ = [
     "ModelEntry",
     "ModelInfo",
     "ModelRegistry",
-    "PREDICT_ENGINES",
     "PredictResult",
     "RouterClient",
     "ServingClient",

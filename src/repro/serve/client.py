@@ -138,7 +138,6 @@ class ModelInfo(PayloadView):
     n_features: "int | None" = None
     n_classes: "int | None" = None
     class_labels: "list | None" = None
-    engine: "str | None" = None
     loaded: "bool | None" = None
     error: "str | None" = None
     raw: dict = field(default_factory=dict, repr=False)
@@ -155,7 +154,6 @@ class ModelInfo(PayloadView):
             n_features=payload.get("n_features"),
             n_classes=payload.get("n_classes"),
             class_labels=payload.get("class_labels"),
-            engine=payload.get("engine"),
             loaded=payload.get("loaded"),
             error=payload.get("error"),
             raw=payload,

@@ -74,31 +74,9 @@ from repro.obs.trace import NO_TRACE
 from repro.serve.metrics import ServingMetrics
 from repro.serve.registry import ModelRegistry, json_scalars
 
-__all__ = ["InferenceEngine", "PREDICT_ENGINES", "invoke_model"]
+__all__ = ["InferenceEngine"]
 
 _log = get_logger(__name__)
-
-
-def invoke_model(model, matrix: np.ndarray, predict_engine: str) -> np.ndarray:
-    """One in-process batch classification of ``matrix`` with ``model``.
-
-    The single definition of both predict paths — ``columnar`` (one
-    vectorised tree descent for the whole batch) and ``tuples`` (the
-    per-row recursive walk kept for benchmarking the coalescing win) —
-    shared by the engine and by the worker-pool processes, so the two
-    backends cannot drift apart.  Both paths go through the estimator, so
-    single trees and forests (whose ``predict_proba`` soft-votes over the
-    member trees) serve through the same definition.
-    """
-    if predict_engine == "columnar":
-        return model.predict_proba(matrix)
-    dataset = model._prepare_eval(model._coerce_eval(matrix))
-    return model._classify_rowwise(dataset)
-
-#: Predict-time engines: ``columnar`` classifies the coalesced batch with one
-#: vectorised tree descent; ``tuples`` walks the tree per row (the pre-batch
-#: behaviour, kept for benchmarking the coalescing win).
-PREDICT_ENGINES = ("columnar", "tuples")
 
 
 class _Pending:
@@ -165,7 +143,6 @@ class InferenceEngine:
         max_queue_rows_per_model: "int | None" = None,
         cache_size: int = 1024,
         cache_decimals: "int | None" = None,
-        predict_engine: str = "columnar",
         request_timeout_s: float = 30.0,
         pool=None,
         metrics: ServingMetrics | None = None,
@@ -201,10 +178,6 @@ class InferenceEngine:
                 f"cache_decimals must be None or a non-negative integer, "
                 f"got {cache_decimals!r}"
             )
-        if predict_engine not in PREDICT_ENGINES:
-            raise ServingError(
-                f"unknown predict engine {predict_engine!r}; expected one of {PREDICT_ENGINES}"
-            )
         if request_timeout_s <= 0:
             # Zero or negative would 504 every request the instant it was
             # enqueued — a broken server that looks configured.
@@ -218,7 +191,6 @@ class InferenceEngine:
         self.max_queue_rows_per_model = max_queue_rows_per_model
         self.cache_size = cache_size
         self.cache_decimals = cache_decimals
-        self.predict_engine = predict_engine
         self.request_timeout_s = request_timeout_s
         self.pool = pool
         self.metrics = metrics if metrics is not None else ServingMetrics()
@@ -702,7 +674,7 @@ class InferenceEngine:
             # served in-process — visible in the pool-utilisation metrics
             # as a fallback.
             self.metrics.record_pool_fallback()
-        return invoke_model(model, matrix, self.predict_engine)
+        return model.predict_proba(matrix)
 
     def _drop_cancelled_head(self) -> None:
         """Discard cancelled entries at the queue head (locked).
@@ -800,11 +772,7 @@ class InferenceEngine:
                             start_s=invoke_wall,
                             duration_s=inference_s,
                             model=name,
-                            tags={
-                                "batch_rows": batch_rows,
-                                "engine": self.predict_engine,
-                                "votes": batch_key is not None,
-                            },
+                            tags={"batch_rows": batch_rows, "votes": batch_key is not None},
                         )
             except BaseException as exc:  # noqa: BLE001 - delivered to callers
                 for pending in taken:

@@ -162,6 +162,10 @@ class JSONRequestHandler(BaseHTTPRequestHandler):
 
     def _send_json(self, status: int, payload: dict, *, headers: dict | None = None) -> None:
         body = json.dumps(self._json_ready(payload)).encode("utf-8")
+        if status >= 400:
+            # Counted before anything is written: a client that has read its
+            # error response must find it in the next /metrics scrape.
+            self._record_error(status)
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -175,8 +179,6 @@ class JSONRequestHandler(BaseHTTPRequestHandler):
             self.close_connection = True
         self.end_headers()
         self.wfile.write(body)
-        if status >= 400:
-            self._record_error(status)
 
     def _send_text(self, status: int, body: str, content_type: str) -> None:
         encoded = body.encode("utf-8")
@@ -461,7 +463,6 @@ def create_server(
     max_queue_rows_per_model: "int | None" = None,
     cache_size: int = 1024,
     cache_decimals: "int | None" = None,
-    predict_engine: str = "columnar",
     request_timeout_s: float = 30.0,
     workers: int = 1,
     preload: bool = False,
@@ -498,9 +499,7 @@ def create_server(
         raise ServingError(str(exc)) from exc
     registry = ModelRegistry(models_dir)
     metrics = ServingMetrics()
-    pool = (
-        WorkerPool(workers, predict_engine=predict_engine) if workers > 1 else None
-    )
+    pool = WorkerPool(workers) if workers > 1 else None
     try:
         engine = InferenceEngine(
             registry,
@@ -510,7 +509,6 @@ def create_server(
             max_queue_rows_per_model=max_queue_rows_per_model,
             cache_size=cache_size,
             cache_decimals=cache_decimals,
-            predict_engine=predict_engine,
             request_timeout_s=request_timeout_s,
             pool=pool,
             metrics=metrics,

@@ -103,7 +103,7 @@ def _worker_model(path: str, expected_token):
     return cached[1]
 
 
-def _worker_predict(path: str, predict_engine: str, expected_token, segment, matrix):
+def _worker_predict(path: str, expected_token, segment, matrix):
     """Classify one shard inside a worker process (``None`` = snapshot refused).
 
     ``segment`` (a :class:`~repro.serve.shm.SharedModelSegment` spec dict)
@@ -112,8 +112,6 @@ def _worker_predict(path: str, predict_engine: str, expected_token, segment, mat
     already been drained — the worker falls back to the token-pinned
     archive rebuild.
     """
-    from repro.serve.engine import invoke_model
-
     model = None
     if segment is not None:
         from repro.serve.shm import attach_model
@@ -123,7 +121,7 @@ def _worker_predict(path: str, predict_engine: str, expected_token, segment, mat
         model = _worker_model(path, expected_token)
     if model is None:
         return None
-    return invoke_model(model, matrix, predict_engine)
+    return model.predict_proba(matrix)
 
 
 class WorkerPool:
@@ -133,7 +131,6 @@ class WorkerPool:
         self,
         n_workers: int,
         *,
-        predict_engine: str = "columnar",
         min_shard_rows: int = 8,
         shard_timeout_s: float = 60.0,
         metrics=None,
@@ -147,7 +144,6 @@ class WorkerPool:
                 f"shard_timeout_s must be positive, got {shard_timeout_s}"
             )
         self.n_workers = n_workers
-        self.predict_engine = predict_engine
         self.min_shard_rows = min_shard_rows
         self.shard_timeout_s = shard_timeout_s
         # Shard fan-out counters land here; the engine adopts the pool and
@@ -213,9 +209,7 @@ class WorkerPool:
         if self.metrics is not None:
             self.metrics.record_pool(len(shards))
         futures = [
-            executor.submit(
-                _worker_predict, path, self.predict_engine, expected_token, segment, shard
-            )
+            executor.submit(_worker_predict, path, expected_token, segment, shard)
             for shard in shards
         ]
         try:

@@ -20,7 +20,7 @@ addressable by its file stem — ``models/iris.zip`` serves as ``iris``:
   engine acquires the segment around each pool batch; a reload retires the
   old generation's segment, which is unlinked only after those in-flight
   batches drain;
-* **metadata** — classes, feature schema, construction engine and the
+* **metadata** — classes, feature schema, split strategy and the
   ``repro``/format versions that produced the archive, exposed through
   ``GET /v1/models``.
 

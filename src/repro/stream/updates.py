@@ -201,7 +201,6 @@ class TreeUpdater:
             min_dispersion_gain=self.builder.min_dispersion_gain,
             post_prune=self.builder.post_prune,
             post_prune_confidence=self.builder.post_prune_confidence,
-            engine=self.builder.engine,
             n_jobs=1,
         )
 
@@ -230,9 +229,10 @@ class TreeUpdater:
             split_point = node.split_point
             assert split_point is not None
             assert node.left is not None and node.right is not None
-            # Training partition semantics (TreeBuilder._split_numerical):
-            # the fractional tuple's weight is scaled by the branch
-            # probability and dust below _EPS is dropped on both sides.
+            # Training partition semantics (ColumnarPdfStore.split_numerical
+            # with the builder's weight_eps): the fractional tuple's weight
+            # is scaled by the branch probability and dust below _EPS is
+            # dropped on both sides.
             p_left, left_pdf, right_pdf = value.split_at(split_point)
             if left_pdf is not None and p_left * item.weight > _EPS:
                 self._route(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,9 +15,25 @@ from repro.core import AveragingClassifier, DecisionTree, UDTClassifier
 from repro.exceptions import PersistenceError
 
 
+_FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
+
+
 @pytest.fixture
 def fitted(small_uncertain):
     return UDTClassifier().fit(small_uncertain)
+
+
+def _with_params(source, target, **changes):
+    """Copy of an estimator archive with ``changes`` merged into its params."""
+    with zipfile.ZipFile(source) as archive:
+        members = {name: archive.read(name) for name in archive.namelist()}
+    payload = json.loads(members["model.json"])
+    payload["params"].update(changes)
+    members["model.json"] = json.dumps(payload).encode("utf-8")
+    with zipfile.ZipFile(target, "w") as archive:
+        for name, data in members.items():
+            archive.writestr(name, data)
+    return target
 
 
 class TestTreeDict:
@@ -134,6 +151,42 @@ class TestModelArchives:
         assert np.array_equal(
             loaded.predict_proba(small_uncertain), model.predict_proba(small_uncertain)
         )
+
+
+class TestArchiveParams:
+    """Stored constructor parameters the estimator does not take."""
+
+    def test_unknown_parameter_is_a_persistence_error(self, fitted, tmp_path):
+        fitted.save(tmp_path / "model.zip")
+        path = _with_params(tmp_path / "model.zip", tmp_path / "odd.zip", max_leaf_nodes=8)
+        with pytest.raises(PersistenceError, match="'max_leaf_nodes'.*UDTClassifier"):
+            load_model(path)
+
+    def test_registry_reports_unknown_parameter(self, fitted, tmp_path):
+        from repro.exceptions import ServingError
+        from repro.serve import ModelRegistry
+
+        models = tmp_path / "models"
+        models.mkdir()
+        fitted.save(tmp_path / "model.zip")
+        _with_params(tmp_path / "model.zip", models / "odd.zip", max_leaf_nodes=8)
+        with pytest.raises(ServingError, match="max_leaf_nodes") as excinfo:
+            ModelRegistry(models).get("odd")
+        assert excinfo.value.status == 500
+
+    @pytest.mark.parametrize("engine", ["columnar", "tuples"])
+    def test_stored_engine_is_dropped_on_load(self, tmp_path, engine):
+        expected = json.loads((_FIXTURES / "golden_v1_expected.json").read_text())
+        path = _with_params(
+            _FIXTURES / "golden_v1_model.zip", tmp_path / "golden.zip", engine=engine
+        )
+        model = load_model(path)
+        assert "engine" not in model.get_params()
+        rows = np.array([[float(cell) for cell in row] for row in expected["rows"]])
+        golden = np.array(
+            [[float(cell) for cell in row] for row in expected["probabilities"]]
+        )
+        assert np.array_equal(model.predict_proba(rows), golden)
 
 
 class TestLineage:

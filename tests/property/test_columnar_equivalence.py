@@ -1,10 +1,11 @@
-"""Equivalence properties of the columnar split-search engine.
+"""Equivalence properties of the columnar split-search store.
 
-The columnar engine (:mod:`repro.core.columnar`) must be a pure
+The columnar store (:mod:`repro.core.columnar`) must be a pure
 representation change: flattening a dataset and running tree construction on
-the flat arrays has to reproduce the per-tuple object path exactly — the
+the flat arrays has to reproduce the per-tuple object model exactly — the
 same pdfs, the same split contexts, the same chosen splits and the same
-entropy-calculation counts the paper's efficiency study measures.
+entropy-calculation counts the paper's efficiency study measures.  The
+per-tuple side is :class:`reference_builder.TupleReferenceBuilder`.
 """
 
 from __future__ import annotations
@@ -12,18 +13,37 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import SampledPdf, UDTClassifier, UncertainDataset, UncertainTuple, Attribute
+from repro.core import (
+    Attribute,
+    CategoricalDistribution,
+    SampledPdf,
+    UDTClassifier,
+    UncertainDataset,
+    UncertainTuple,
+)
 from repro.core.builder import TreeBuilder
 from repro.core.columnar import ColumnarPdfStore
 from repro.core.splits import AttributeSplitContext
 from repro.core.strategies import STRATEGY_NAMES
 from repro.data import inject_uncertainty, load_dataset
 
+from reference_builder import TupleReferenceBuilder
 
-def _random_uncertain_dataset(seed: int, n_tuples: int = 25, n_attributes: int = 3):
-    """A dataset with deliberately ragged pdfs (mixed sample counts/kinds)."""
+
+def _random_uncertain_dataset(
+    seed: int, n_tuples: int = 25, n_attributes: int = 3, n_categorical: int = 0
+):
+    """A dataset with deliberately ragged pdfs (mixed sample counts/kinds).
+
+    ``n_categorical`` appends uncertain categorical attributes whose
+    distributions lean towards the tuple's class, so categorical splits
+    compete with numerical ones below the root, on fractional tuples.
+    """
     rng = np.random.default_rng(seed)
-    attributes = [Attribute.numerical(f"a{i}") for i in range(n_attributes)]
+    domain = ("x", "y", "z")
+    attributes = [Attribute.numerical(f"a{i}") for i in range(n_attributes)] + [
+        Attribute.categorical(f"c{i}", domain) for i in range(n_categorical)
+    ]
     tuples = []
     for i in range(n_tuples):
         label = "pos" if i % 2 == 0 else "neg"
@@ -36,6 +56,9 @@ def _random_uncertain_dataset(seed: int, n_tuples: int = 25, n_attributes: int =
             else:
                 pdf = SampledPdf.uniform(loc - 0.5, loc + 0.5, n_samples=int(rng.integers(2, 9)))
             features.append(pdf)
+        for _ in range(n_categorical):
+            lean = (2.0, 1.0, 0.5) if label == "pos" else (0.5, 1.0, 2.0)
+            features.append(CategoricalDistribution(dict(zip(domain, rng.dirichlet(lean)))))
         tuples.append(UncertainTuple(features, label=label))
     return UncertainDataset(attributes, tuples)
 
@@ -107,13 +130,12 @@ class TestContextEquivalence:
 
 
 class TestEngineEquivalence:
-    """Both engines choose identical splits and count identical work."""
+    """The builder and the per-tuple reference choose identical splits and
+    count identical work."""
 
     def _assert_engines_agree(self, dataset, strategy):
-        results = {}
-        for engine in ("tuples", "columnar"):
-            results[engine] = TreeBuilder(strategy=strategy, engine=engine).build(dataset)
-        tuples_result, columnar_result = results["tuples"], results["columnar"]
+        tuples_result = TupleReferenceBuilder(strategy=strategy).build(dataset)
+        columnar_result = TreeBuilder(strategy=strategy).build(dataset)
         assert (
             tuples_result.tree.structure_signature()
             == columnar_result.tree.structure_signature()
@@ -122,7 +144,7 @@ class TestEngineEquivalence:
         columnar_stats = columnar_result.stats.split_search
         if strategy == "UDT-ES":
             # End-point sampling prunes against a running threshold; a
-            # last-bit dispersion difference between the engines can change
+            # last-bit dispersion difference between the two can change
             # how much work the pruning saved even though the tree is
             # identical, so the counts are compared with a small tolerance.
             assert columnar_stats.entropy_evaluations == pytest.approx(
@@ -151,14 +173,21 @@ class TestEngineEquivalence:
 
     @pytest.mark.slow
     @pytest.mark.parametrize("strategy", STRATEGY_NAMES)
-    def test_engines_agree_on_iris_like_data(self, strategy):
-        training, _, _ = load_dataset("Iris", scale=0.5, seed=19)
+    @pytest.mark.parametrize("name", ["Iris", "Glass", "Ionosphere"])
+    def test_engines_agree_on_iris_like_data(self, name, strategy):
+        training, _, _ = load_dataset(name, scale=0.5, seed=19)
         uncertain = inject_uncertainty(training, width_fraction=0.10, n_samples=25)
         self._assert_engines_agree(uncertain, strategy)
 
     @pytest.mark.parametrize("seed", [4, 5])
     def test_engines_agree_on_ragged_pdfs(self, seed):
         dataset = _random_uncertain_dataset(seed, n_tuples=30)
+        for strategy in STRATEGY_NAMES:
+            self._assert_engines_agree(dataset, strategy)
+
+    @pytest.mark.parametrize("seed", [6, 7, 8])
+    def test_engines_agree_on_ragged_mixed_attributes(self, seed):
+        dataset = _random_uncertain_dataset(seed, n_tuples=60, n_categorical=2)
         for strategy in STRATEGY_NAMES:
             self._assert_engines_agree(dataset, strategy)
 

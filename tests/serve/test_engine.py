@@ -35,8 +35,6 @@ class TestValidation:
         with pytest.raises(ServingError):
             InferenceEngine(registry, cache_size=-1)
         with pytest.raises(ServingError):
-            InferenceEngine(registry, predict_engine="warp")
-        with pytest.raises(ServingError):
             InferenceEngine(registry, max_queue_rows=0)
 
     @pytest.mark.parametrize("timeout", [0, -1, -0.5])
@@ -224,14 +222,6 @@ class TestCoalescing:
         with make_engine(registry, max_batch=4) as engine:
             result = engine.predict_proba("demo", serving_rows)
         assert np.array_equal(result, offline_model.predict_proba(serving_rows))
-
-    def test_tuples_predict_engine_matches_columnar(self, registry, offline_model,
-                                                    serving_rows):
-        with make_engine(registry, predict_engine="tuples") as engine:
-            result = engine.predict_proba("demo", serving_rows)
-        np.testing.assert_allclose(
-            result, offline_model.predict_proba(serving_rows), atol=1e-12
-        )
 
 
 class TestCache:

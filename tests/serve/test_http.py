@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
@@ -180,6 +181,21 @@ class TestMalformedRequests:
         metrics = client.metrics()
         assert metrics["errors"].get("400", 0) >= 1
         assert metrics["errors"].get("404", 0) >= 1
+
+    def test_error_is_counted_before_the_client_reads_it(self, server, client, monkeypatch):
+        # A slow counter must delay the error response, not the count: a
+        # client that has read its 404 finds it in the very next scrape.
+        record_error = server.metrics.record_error
+
+        def slow_record_error(status):
+            time.sleep(0.3)
+            record_error(status)
+
+        monkeypatch.setattr(server.metrics, "record_error", slow_record_error)
+        with pytest.raises(ServingError) as excinfo:
+            client.model("missing")
+        assert excinfo.value.status == 404
+        assert client.metrics()["errors"] == {"404": 1}
 
 
 class TestMetrics:

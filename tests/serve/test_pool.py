@@ -70,15 +70,6 @@ class TestSharding:
             result = pool.predict_proba(model_dir / "demo.zip", serving_rows[:1])
         assert np.array_equal(result, offline_model.predict_proba(serving_rows[:1]))
 
-    def test_tuples_engine_through_the_pool(
-        self, model_dir, offline_model, serving_rows
-    ):
-        with WorkerPool(2, predict_engine="tuples", min_shard_rows=4) as pool:
-            result = pool.predict_proba(model_dir / "demo.zip", serving_rows)
-        np.testing.assert_allclose(
-            result, offline_model.predict_proba(serving_rows), atol=1e-12
-        )
-
 
 class TestSnapshotPinning:
     def test_wrong_token_is_refused(self, model_dir, serving_rows):

@@ -101,7 +101,6 @@ class TestMetadata:
         assert meta["estimator_class"] == "UDTClassifier"
         assert meta["format_version"] == FORMAT_VERSION
         assert meta["repro_version"] == __version__
-        assert meta["engine"] == "columnar"
         assert meta["n_features"] == 3
         assert meta["n_classes"] == 2
         assert meta["class_labels"] == ["neg", "pos"]

@@ -191,6 +191,7 @@ class TestResplitTrigger:
         """root_split_gain searches the leaf buffer's columnar store; on the
         routed (fractional, truncated) tuples it must give exactly the gain
         of the per-tuple contexts' best split."""
+        from repro.core.splits import build_contexts
         from repro.core.stats import SplitSearchStats
 
         X, y = drift_data
@@ -203,8 +204,15 @@ class TestResplitTrigger:
             gain = builder.root_split_gain(local)
             if gain == 0.0:
                 continue
-            best = builder._find_numerical_split(local.tuples, local, SplitSearchStats())
-            class_weights = builder._class_weights(local.tuples, local)
+            numerical = [i for i, attribute in enumerate(local.attributes)
+                         if attribute.is_numerical]
+            contexts = build_contexts(local.tuples, numerical, local.class_labels)
+            best = builder.strategy.find_best_split(
+                contexts, builder.measure, SplitSearchStats()
+            )
+            class_weights = np.zeros(local.n_classes)
+            for item in local.tuples:
+                class_weights[local.label_index(item.label)] += item.weight
             assert gain == builder.measure.node_dispersion(class_weights) - best.dispersion
             checked += 1
         assert checked, "the drift was designed to leave a splittable leaf buffer"

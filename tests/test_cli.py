@@ -27,14 +27,6 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["sensitivity", "--parameter", "x"])
 
-    def test_engine_flag_on_every_experiment_command(self):
-        for command in ("accuracy", "noise", "efficiency", "sensitivity"):
-            args = build_parser().parse_args([command, "--engine", "tuples"])
-            assert args.engine == "tuples"
-            assert build_parser().parse_args([command]).engine == "columnar"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["accuracy", "--engine", "warp-drive"])
-
     def test_version_flag(self, capsys):
         from repro import __version__
 
@@ -90,14 +82,6 @@ class TestCommands:
         assert code == 0
         output = capsys.readouterr().out
         assert "UDT accuracy" in output
-
-    def test_accuracy_command_with_tuples_engine(self, capsys):
-        code = main(
-            ["accuracy", "--dataset", "Iris", "--scale", "0.3", "--samples", "6",
-             "--folds", "3", "--widths", "0.1", "--engine", "tuples"]
-        )
-        assert code == 0
-        assert "AVG accuracy" in capsys.readouterr().out
 
 
 @pytest.fixture
@@ -196,19 +180,26 @@ class TestPredictCommand:
         assert len(content) == 1 + len(rows)
 
 
-def _future_archive(source_path, target_path, version: int = 99):
-    """Copy of an archive with its format_version bumped past this build's."""
+def _edited_archive(source_path, target_path, edit) -> None:
+    """Copy of an archive whose ``model.json`` payload ``edit`` changed in place."""
     import json
     import zipfile
 
     with zipfile.ZipFile(source_path) as source:
         members = {name: source.read(name) for name in source.namelist()}
     payload = json.loads(members["model.json"])
-    payload["format_version"] = version
+    edit(payload)
     members["model.json"] = json.dumps(payload)
     with zipfile.ZipFile(target_path, "w") as target:
         for name, data in members.items():
             target.writestr(name, data)
+
+
+def _future_archive(source_path, target_path, version: int = 99):
+    """Copy of an archive with its format_version bumped past this build's."""
+    _edited_archive(
+        source_path, target_path, lambda payload: payload.update(format_version=version)
+    )
 
 
 class TestTrainForestCommand:
@@ -342,6 +333,22 @@ class TestFormatVersionGate:
         assert "future.zip" in err
         assert "format version 99" in err
 
+    def test_unknown_archive_parameter_exits_2_for_predict(
+        self, saved_model, tmp_path, capsys
+    ):
+        _, model_path, rows = saved_model
+        odd = tmp_path / "odd.zip"
+        _edited_archive(
+            model_path, odd, lambda payload: payload["params"].update(max_leaf_nodes=8)
+        )
+        data = tmp_path / "rows.csv"
+        with open(data, "w", newline="") as handle:
+            csv.writer(handle).writerows(rows.tolist())
+        assert main(["predict", str(odd), str(data)]) == 2
+        err = capsys.readouterr().err
+        assert "max_leaf_nodes" in err
+        assert "UDTClassifier" in err
+
     def test_corrupt_archive_still_exits_2_for_predict(self, tmp_path, capsys):
         bad = tmp_path / "bad.zip"
         bad.write_text("not a zip")
@@ -362,7 +369,6 @@ class TestServeParser:
         assert args.request_timeout == 30.0
         assert args.workers == 1
         assert args.cache_decimals is None
-        assert args.predict_engine == "columnar"
         assert args.preload is False
 
     def test_workers_must_be_positive(self):
@@ -412,16 +418,6 @@ class TestServeParser:
     def test_max_batch_must_be_positive(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve", "--models", "m", "--max-batch", "0"])
-
-    def test_predict_engine_choices(self):
-        args = build_parser().parse_args(
-            ["serve", "--models", "m", "--predict-engine", "tuples"]
-        )
-        assert args.predict_engine == "tuples"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["serve", "--models", "m", "--predict-engine", "warp"]
-            )
 
 
 class TestRouterCommand:
