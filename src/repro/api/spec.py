@@ -25,15 +25,24 @@ A *table* spec is either one column spec (applied to every column), a
 sequence with one entry per column, or a ``{column: spec}`` mapping keyed by
 index or attribute name (``"*"`` sets the default for unlisted columns).
 
-A table whose columns are all :func:`gaussian`, :func:`uniform` or
-:func:`point` is built array-natively: each column's pdfs come out of a few
-whole-column NumPy passes (:meth:`ColumnSpec.pdf_rows`) straight into the
+Every table is built column by column straight into the
 :class:`~repro.core.columnar.ColumnarPdfStore` that training and batch
 classification read, and the dataset builds its per-tuple objects only when
-asked for them.  The arrays are bit-identical to building every cell with
-:meth:`ColumnSpec.feature_for`, which remains the path for tables with
-``samples`` or ``categorical`` columns (and for the odd table with a column
-whose supports are too narrow for its values to form a regular grid).
+asked for them:
+
+* a :func:`gaussian`, :func:`uniform` or :func:`point` column comes out of
+  a few whole-column NumPy passes (:meth:`ColumnSpec.pdf_rows`), whatever
+  the other columns of the table are.  The arrays are bit-identical to
+  building every cell with :meth:`ColumnSpec.feature_for`, which remains
+  the path of the odd column whose supports are too narrow for its values
+  to form a regular grid;
+* a :func:`samples` column concatenates its cells' pdfs, and keeps the cells;
+* a :func:`categorical` column becomes a tuples x categories probability
+  matrix, and keeps the cells.
+
+A NaN or infinite number in a numerical column raises
+:class:`~repro.exceptions.PdfError` naming its row and column, before any
+arithmetic.
 
 The ``w``-scaled specs reproduce :func:`repro.data.uncertainty.inject_uncertainty`
 exactly: ``build_dataset(X, y, spec=gaussian(w, s))`` equals
@@ -52,7 +61,8 @@ from typing import Hashable, Mapping, Sequence
 import numpy as np
 
 from repro.core.categorical import CategoricalDistribution
-from repro.core.dataset import Attribute, UncertainDataset, UncertainTuple
+from repro.core.columnar import _AttributeColumn, _CategoricalColumn
+from repro.core.dataset import Attribute, UncertainDataset
 from repro.core.params import ParamsMixin
 from repro.core.pdf import Pdf, PdfRows, SampledPdf
 from repro.exceptions import PdfError, SpecError
@@ -458,18 +468,21 @@ def _reject_non_finite(matrix: np.ndarray, attribute_names: Sequence[str] | None
     )
 
 
-def _as_rows(X, colspecs: Sequence[ColumnSpec]) -> "np.ndarray | list[Sequence]":
+def _takes_numbers(colspec: ColumnSpec) -> bool:
+    """Whether the column's cells are plain numbers (not samples or categories)."""
+    return not colspec.is_categorical and not isinstance(colspec, SamplesSpec)
+
+
+def _as_rows(X, colspecs: Sequence[ColumnSpec]) -> "tuple[np.ndarray | list, np.ndarray]":
     """Normalise ``X`` into rows, validating the shape.
 
-    A table of plain numbers (no ``samples`` or ``categorical`` column)
-    comes back as one 2-D float array, every other table as a list of rows.
+    Returns ``(rows, numbers)``: ``numbers`` is the ``(n_rows, n_columns)``
+    float array of the number columns (other columns hold zeros).  A table
+    of plain numbers comes back as that array twice, every other table as a
+    list of rows plus the array.
     """
     n_columns = len(colspecs)
-    simple = all(
-        not colspec.is_categorical and not isinstance(colspec, SamplesSpec)
-        for colspec in colspecs
-    )
-    if simple:
+    if all(_takes_numbers(colspec) for colspec in colspecs):
         array = np.asarray(X, dtype=float)
         if array.ndim != 2:
             raise SpecError(
@@ -480,7 +493,7 @@ def _as_rows(X, colspecs: Sequence[ColumnSpec]) -> "np.ndarray | list[Sequence]"
             raise SpecError(
                 f"X has {array.shape[1]} columns but the spec describes {n_columns}"
             )
-        return array
+        return array, array
     iloc = getattr(X, "iloc", None)
     if iloc is not None:
         # DataFrame-style input: iterate positionally (list(X) would yield
@@ -493,7 +506,11 @@ def _as_rows(X, colspecs: Sequence[ColumnSpec]) -> "np.ndarray | list[Sequence]"
             raise SpecError(
                 f"row {position} has {len(row)} values but the spec describes {n_columns}"
             )
-    return rows
+    numbers = np.zeros((len(rows), n_columns))
+    for index, colspec in enumerate(colspecs):
+        if _takes_numbers(colspec):
+            numbers[:, index] = [row[index] for row in rows]
+    return rows, numbers
 
 
 def _infer_domain(colspec: CategoricalSpec, rows: Sequence[Sequence], index: int):
@@ -519,14 +536,15 @@ def _resolve_table(
     X,
     spec,
     attribute_names: Sequence[str] | None,
-) -> tuple["np.ndarray | list", list[ColumnSpec], Sequence[str] | None]:
-    """Shared front half of :func:`build_dataset`: rows + column specs.
+) -> tuple["np.ndarray | list", np.ndarray, list[ColumnSpec]]:
+    """Shared front half of :func:`build_dataset`: rows, numbers, column specs.
 
     Determines the column count, expands the table spec, and normalises
-    ``X`` into validated rows (see :func:`_as_rows`) — so every consumer
-    (dataset building, extent computation) sees exactly the same
-    interpretation of the input.  A NaN or infinite number raises
-    :class:`~repro.exceptions.PdfError` here, before any arithmetic.
+    ``X`` into validated rows and the float array of its number columns
+    (see :func:`_as_rows`) — so every consumer (dataset building, extent
+    computation) sees exactly the same interpretation of the input.  A NaN
+    or infinite number raises :class:`~repro.exceptions.PdfError` here,
+    before any arithmetic.
     """
     shape = getattr(X, "shape", None)
     if (
@@ -554,10 +572,9 @@ def _resolve_table(
             f"attribute_names has {len(attribute_names)} entries, expected {n_columns}"
         )
     colspecs = resolve_table_spec(spec, n_columns, attribute_names)
-    rows = _as_rows(X, colspecs)
-    if isinstance(rows, np.ndarray):
-        _reject_non_finite(rows, attribute_names)
-    return rows, colspecs, attribute_names
+    rows, numbers = _as_rows(X, colspecs)
+    _reject_non_finite(numbers, attribute_names)
+    return rows, numbers, colspecs
 
 
 def compute_extents(
@@ -573,8 +590,8 @@ def compute_extents(
     ``feature_extents_`` so predict-time array conversion is bit-identical
     to training conversion.
     """
-    rows, colspecs, _ = _resolve_table(X, spec, attribute_names)
-    return column_extents(rows, colspecs)
+    _, numbers, colspecs = _resolve_table(X, spec, attribute_names)
+    return column_extents(numbers, colspecs)
 
 
 def build_dataset(
@@ -611,9 +628,9 @@ def build_dataset(
         consistently with training.
 
     Raises :class:`~repro.exceptions.PdfError` naming the row and column of
-    the first NaN or infinite number in a table of plain numbers.
+    the first NaN or infinite number in a numerical column.
     """
-    rows, colspecs, attribute_names = _resolve_table(X, spec, attribute_names)
+    rows, numbers, colspecs = _resolve_table(X, spec, attribute_names)
     n_columns = len(colspecs)
     if y is not None and len(y) != len(rows):
         raise SpecError(f"y has {len(y)} labels but X has {len(rows)} rows")
@@ -629,28 +646,30 @@ def build_dataset(
             attributes.append(Attribute.numerical(name))
 
     if extents is None:
-        extents = column_extents(rows, colspecs)
+        extents = column_extents(numbers, colspecs)
     elif len(extents) != n_columns:
         raise SpecError(f"extents has {len(extents)} entries, expected {n_columns}")
     widths = [
         (extent[1] - extent[0]) if extent is not None else None for extent in extents
     ]
 
-    if isinstance(rows, np.ndarray):
-        columns = [
-            colspec.pdf_rows(rows[:, index], widths[index])
-            for index, colspec in enumerate(colspecs)
-        ]
-        if all(column is not None for column in columns):
-            labels = [None] * len(rows) if y is None else [y[i] for i in range(len(rows))]
-            return UncertainDataset.from_pdf_rows(attributes, columns, labels, class_labels)
-
-    tuples = []
-    for position, row in enumerate(rows):
-        features = [
-            colspec.feature_for(row[index], widths[index])
-            for index, colspec in enumerate(colspecs)
-        ]
-        label = y[position] if y is not None else None
-        tuples.append(UncertainTuple(features, label=label))
-    return UncertainDataset(attributes, tuples, class_labels=class_labels)
+    columns: list = [
+        colspec.pdf_rows(numbers[:, index], widths[index]) if _takes_numbers(colspec) else None
+        for index, colspec in enumerate(colspecs)
+    ]
+    per_cell = [index for index, column in enumerate(columns) if column is None]
+    cells: list[list] = [[] for _ in per_cell]
+    if per_cell:
+        # Row by row, so the first failing cell raises, as a per-cell build would.
+        for row in rows:
+            for column_cells, index in zip(cells, per_cell):
+                column_cells.append(colspecs[index].feature_for(row[index], widths[index]))
+    for column_cells, index in zip(cells, per_cell):
+        if colspecs[index].is_categorical:
+            columns[index] = _CategoricalColumn.from_cells(attributes[index].domain, column_cells)
+        else:
+            columns[index] = _AttributeColumn.from_pdfs(
+                column_cells, keep_cells=isinstance(colspecs[index], SamplesSpec)
+            )
+    labels = [None] * len(rows) if y is None else [y[i] for i in range(len(rows))]
+    return UncertainDataset.from_pdf_rows(attributes, columns, labels, class_labels)

@@ -20,15 +20,9 @@ from repro.core.dispersion import (
     GiniMeasure,
     get_measure,
 )
-from repro.core.intervals import (
-    EndPointInterval,
-    IntervalKind,
-    IntervalTable,
-    build_interval_table,
-    build_intervals,
-)
+from repro.core.intervals import IntervalKind, IntervalTable, build_interval_table
 from repro.core.pdf import Pdf, SampledPdf
-from repro.core.splits import AttributeSplitContext, CandidateSplit, build_contexts
+from repro.core.splits import AttributeSplitContext, CandidateSplit
 from repro.core.stats import BuildStats, SplitSearchStats
 from repro.core.strategies import (
     STRATEGY_NAMES,
@@ -56,7 +50,6 @@ __all__ = [
     "CategoricalDistribution",
     "DecisionTree",
     "DispersionMeasure",
-    "EndPointInterval",
     "EntropyMeasure",
     "GainRatioMeasure",
     "GiniMeasure",
@@ -81,9 +74,7 @@ __all__ = [
     "UDTStrategy",
     "UncertainDataset",
     "UncertainTuple",
-    "build_contexts",
     "build_interval_table",
-    "build_intervals",
     "clone_estimator",
     "get_measure",
     "get_strategy",

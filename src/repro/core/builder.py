@@ -26,7 +26,7 @@ from typing import Hashable
 import numpy as np
 
 from repro.core.columnar import ColumnarNodeView, ColumnarPdfStore
-from repro.core.dataset import UncertainDataset, UncertainTuple
+from repro.core.dataset import UncertainDataset
 from repro.core.dispersion import DispersionMeasure, get_measure
 from repro.core.postprune import pessimistic_prune
 from repro.core.splits import CandidateSplit
@@ -258,7 +258,7 @@ class TreeBuilder:
         best: CandidateSplit | None = None
         for candidate in (
             self._find_numerical_split(store, view, dataset, node_stats, executor),
-            self._find_categorical_split(view, dataset, used_categorical, node_stats),
+            self._find_categorical_split(store, view, used_categorical, node_stats),
         ):
             if candidate is None or not candidate.is_valid:
                 continue
@@ -335,27 +335,19 @@ class TreeBuilder:
 
     def _find_categorical_split(
         self,
+        store: ColumnarPdfStore,
         view: ColumnarNodeView,
-        dataset: UncertainDataset,
         used_categorical: frozenset[int],
         node_stats: SplitSearchStats,
     ) -> CandidateSplit | None:
         """Best multiway split over the unused categorical attributes."""
-        candidates = [
-            index
-            for index, attribute in enumerate(dataset.attributes)
-            if attribute.is_categorical and index not in used_categorical
-        ]
-        if not candidates:
-            return None
-        weighted_items = [
-            (dataset.tuples[tuple_id], float(weight))
-            for tuple_id, weight in zip(view.tuple_ids, view.weights)
-        ]
         best: CandidateSplit | None = None
-        for index in candidates:
-            buckets = self._categorical_buckets(dataset, index, weighted_items)
-            non_empty = [counts for counts in buckets.values() if counts.sum() > _EPS]
+        for index in store.categorical_indices:
+            if index in used_categorical:
+                continue
+            non_empty = [
+                counts for counts in store.category_counts(view, index) if counts.sum() > _EPS
+            ]
             if len(non_empty) < 2:
                 continue
             node_stats.entropy_evaluations += 1
@@ -376,24 +368,6 @@ class TreeBuilder:
                 best = candidate
         return best
 
-    def _categorical_buckets(
-        self,
-        dataset: UncertainDataset,
-        attribute_index: int,
-        weighted_items: "list[tuple[UncertainTuple, float]]",
-    ) -> dict[Hashable, np.ndarray]:
-        """Per-category weighted class counts for a categorical attribute."""
-        attribute = dataset.attributes[attribute_index]
-        buckets = {value: np.zeros(dataset.n_classes) for value in attribute.domain}
-        for item, weight in weighted_items:
-            distribution = item.categorical(attribute_index)
-            label_index = dataset.label_index(item.label)
-            for category, probability in distribution.items():
-                if category not in buckets:
-                    buckets[category] = np.zeros(dataset.n_classes)
-                buckets[category][label_index] += weight * probability
-        return buckets
-
     def _split_categorical(
         self,
         store: ColumnarPdfStore,
@@ -409,28 +383,17 @@ class TreeBuilder:
     ) -> TreeNode:
         assert split.attribute_index is not None
         attribute_index = split.attribute_index
-        partitions: dict[Hashable, tuple[list[int], list[float]]] = {}
-        for position, (tuple_id, weight) in enumerate(zip(view.tuple_ids, view.weights)):
-            distribution = dataset.tuples[tuple_id].categorical(attribute_index)
-            for category, probability in distribution.items():
-                child_weight = weight * probability
-                if child_weight <= _EPS:
-                    continue
-                positions, weights = partitions.setdefault(category, ([], []))
-                positions.append(position)
-                weights.append(child_weight)
-        if len(partitions) < 2:
+        children = store.split_categorical(view, attribute_index, weight_eps=_EPS)
+        if len(children) < 2:
             return self._make_leaf(class_weights, stats)
         new_used = used_categorical | {attribute_index}
-        branches: dict[Hashable, TreeNode] = {}
-        for category, (positions, weights) in partitions.items():
-            child_view = view.select(np.asarray(positions, dtype=np.int64)).reweighted(
-                np.asarray(weights)
-            )
-            branches[category] = self._build_node(
+        branches: dict[Hashable, TreeNode] = {
+            category: self._build_node(
                 store, child_view, dataset,
                 depth=depth + 1, used_categorical=new_used, stats=stats, executor=executor,
             )
+            for category, child_view in children.items()
+        }
         total = float(class_weights.sum())
         fallback = class_weights / total if total > 0 else None
         return InternalNode(

@@ -1,45 +1,47 @@
-"""Columnar (structure-of-arrays) storage of uncertain numerical attributes.
+"""Columnar (structure-of-arrays) storage of uncertain attributes.
 
 The per-tuple object model (:class:`~repro.core.dataset.UncertainTuple`
-holding one :class:`~repro.core.pdf.SampledPdf` per attribute) is convenient
-for construction and inspection, but walking it tuple-by-tuple would dominate
-the cost of tree building: every node split would allocate hundreds of small
-pdf objects, and every per-tuple
-:class:`~repro.core.splits.AttributeSplitContext` re-collects sample arrays in
-a Python loop.  Tree construction and batch classification therefore run on
-this store.
+holding one pdf or categorical distribution per attribute) is convenient
+for construction and inspection, but walking it tuple by tuple would
+dominate the cost of tree building.  Fit, predict and the streaming
+re-split search therefore read this store instead.
 
-:class:`ColumnarPdfStore` keeps, for each numerical attribute, *all* tuples'
-pdf sample points and probability masses in flat, contiguous NumPy arrays
-(``values``, ``masses``, per-tuple ``offsets``).  The key observation that
-makes this work for the paper's fractional-tuple machinery is that splitting
-a tuple at ``z`` truncates its pdf and renormalises the masses while scaling
-the tuple weight by the same factor — so the *effective* weighted mass of a
-sample point never changes.  A (fractional) tuple at any tree node is then
-fully described by a per-attribute index range ``[start, stop)`` into the
-flat arrays plus a scalar weight: node partitions are zero-copy slices, and
+:class:`ColumnarPdfStore` keeps one column per attribute.  A numerical
+column holds *all* tuples' pdf sample points and probability masses in
+flat, contiguous NumPy arrays (``values``, ``masses``, per-tuple
+``offsets``); a categorical column (Section 7.2) a tuples x categories
+probability matrix.  The key observation that makes this work for the
+paper's fractional-tuple machinery is that splitting a tuple at ``z``
+truncates its pdf and renormalises the masses while scaling the tuple
+weight by the same factor — so the *effective* weighted mass of a sample
+point never changes.  A (fractional) tuple at any tree node is then fully
+described by a per-attribute index range ``[start, stop)`` into the flat
+arrays plus a scalar weight: node partitions are zero-copy slices, and
 end-point collection, interval-table input and fractional splitting all
-become vectorised ``searchsorted`` / ``cumsum`` operations.
+become vectorised ``searchsorted`` / ``cumsum`` operations.  A categorical
+split only rescales the weights, so its children keep their ranges.
 
 :class:`ColumnarNodeView` is that description for a set of tuples (one tree
-node's population).  The store offers the three operations tree construction
-and batch classification need:
+node's population).  The store offers the operations tree construction and
+batch classification need:
 
-* :meth:`ColumnarPdfStore.build_context` — a vectorised replacement for the
-  per-tuple :class:`~repro.core.splits.AttributeSplitContext` constructor,
-* :meth:`ColumnarPdfStore.build_contexts` — the same for *all* numerical
-  attributes of a node in one fused pass (the training path; the
-  per-attribute variant remains for attribute-level thread parallelism),
-* :meth:`ColumnarPdfStore.split_numerical` — fractional partitioning of all
-  of a node's tuples at a split point in one shot,
+* :meth:`ColumnarPdfStore.build_contexts` — split contexts for *all*
+  numerical attributes of a node in one fused pass (the training path;
+  :meth:`~ColumnarPdfStore.build_context` builds one, for attribute-level
+  thread parallelism),
+* :meth:`ColumnarPdfStore.category_counts` — per-category class counts,
+* :meth:`ColumnarPdfStore.split_numerical` /
+  :meth:`~ColumnarPdfStore.split_categorical` — fractional partitioning of
+  all of a node's tuples in one shot,
 * :meth:`ColumnarPdfStore.class_weights` — weighted class counts.
 
-The arrays stored are exact copies of the per-tuple pdfs, so the store
-reproduces the splits and statistics of a per-tuple recursion over the object
-model (kept in ``tests/property/reference_builder.py`` as the equivalence
-oracle).  (The sole caveat: that recursion renormalises pdf masses at every
-truncation level while the store rescales once per node, so dispersion values
-can differ in the last bits; every strategy still builds an identical tree,
+The arrays stored are exact copies of the per-tuple distributions, so the
+store reproduces the splits and statistics of a per-tuple recursion over the
+object model (kept in ``tests/property/reference_builder.py`` as the
+equivalence oracle).  (The sole caveat: that recursion renormalises pdf
+masses at every truncation level while the store rescales once per node, so
+dispersion values, and the weights of tuples cut twice on one attribute,
+can differ in the last bits; every strategy still chooses identical splits,
 and only UDT-ES — whose *work counts* depend on threshold near-ties — may
 report marginally different entropy-calculation counts.)
 """
@@ -50,6 +52,7 @@ from typing import Hashable, NamedTuple, Sequence
 
 import numpy as np
 
+from repro.core.categorical import CategoricalDistribution
 from repro.core.dataset import UncertainDataset
 from repro.core.pdf import Pdf, PdfRows, SampledPdf
 from repro.core.splits import AttributeSplitContext
@@ -95,7 +98,9 @@ class _AttributeColumn:
     tuple).  ``local_cum`` is each tuple's own cumulative-mass array (the
     pdf's :attr:`~repro.core.pdf.SampledPdf.cumulative`, whose last entry is
     exactly 1), concatenated — so mass and probability queries reproduce the
-    per-tuple object path bit for bit.
+    per-tuple object path bit for bit.  ``cells`` are the pdf objects a
+    column keeps when their identity matters (see :meth:`from_pdfs`), else
+    ``None``.
     """
 
     __slots__ = (
@@ -105,6 +110,7 @@ class _AttributeColumn:
         "offsets",
         "is_uniform",
         "kinds",
+        "cells",
         "_sorted",
     )
 
@@ -116,6 +122,7 @@ class _AttributeColumn:
         offsets: np.ndarray,
         is_uniform: np.ndarray,
         kinds: list[str],
+        cells: "list[Pdf] | None" = None,
     ) -> None:
         # Read-only: the pdf objects of pdf_views() share these arrays.
         for array in (values, masses, local_cum):
@@ -126,11 +133,17 @@ class _AttributeColumn:
         self.offsets = offsets
         self.is_uniform = is_uniform
         self.kinds = kinds
+        self.cells = cells
         self._sorted: _SortedColumn | None = None
 
     @classmethod
-    def from_pdfs(cls, pdfs: Sequence[Pdf]) -> "_AttributeColumn":
-        """Concatenate one pdf per tuple."""
+    def from_pdfs(cls, pdfs: Sequence[Pdf], *, keep_cells: bool = False) -> "_AttributeColumn":
+        """Concatenate one pdf per tuple.
+
+        With ``keep_cells`` the column also keeps the pdf objects, so a
+        dataset's on-demand tuples hand them back as they are (a caller's
+        own :class:`~repro.core.pdf.Pdf` keeps its identity and class).
+        """
         counts = np.array([pdf.xs.size for pdf in pdfs], dtype=np.int64)
         offsets = np.zeros(len(pdfs) + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])
@@ -149,7 +162,8 @@ class _AttributeColumn:
             local_cum = np.empty(0)
         kinds = [getattr(pdf, "kind", "custom") for pdf in pdfs]
         is_uniform = np.array([kind in _UNIFORM_KINDS for kind in kinds], dtype=bool)
-        return cls(values, masses, local_cum, offsets, is_uniform, kinds)
+        return cls(values, masses, local_cum, offsets, is_uniform, kinds,
+                   list(pdfs) if keep_cells else None)
 
     @classmethod
     def from_rows(cls, rows: PdfRows) -> "_AttributeColumn":
@@ -192,6 +206,17 @@ class _AttributeColumn:
             for start, stop, kind in zip(bounds[:-1], bounds[1:], self.kinds)
         ]
 
+    def take(self, rows: np.ndarray) -> "_AttributeColumn":
+        """The column of the tuples at ``rows`` (in that order), copied."""
+        starts, stops = self.offsets[rows], self.offsets[rows + 1]
+        offsets = np.zeros(rows.size + 1, dtype=np.int64)
+        np.cumsum(stops - starts, out=offsets[1:])
+        flat = _gather_ranges(starts, stops)
+        cells = None if self.cells is None else [self.cells[i] for i in rows]
+        return _AttributeColumn(self.values[flat], self.masses[flat], self.local_cum[flat],
+                                offsets, self.is_uniform[rows],
+                                [self.kinds[i] for i in rows], cells)
+
     def mass_before(self, index: np.ndarray, segment_base: np.ndarray) -> np.ndarray:
         """Cumulative tuple mass strictly before each flat ``index``.
 
@@ -203,6 +228,51 @@ class _AttributeColumn:
         )
 
 
+class _CategoricalColumn:
+    """One categorical attribute: a tuples x categories probability matrix.
+
+    ``categories`` are the attribute's domain followed by every category
+    outside it, in first-seen order (such a category gets its own bucket
+    and branch, like any other); ``probabilities[i, c]`` is tuple ``i``'s
+    probability of ``categories[c]``.  ``cells`` are the distributions the
+    column was built from: a dataset's on-demand tuples reuse them, so
+    :meth:`~repro.core.categorical.CategoricalDistribution.most_likely`
+    keeps breaking ties by each cell's own order.
+    """
+
+    __slots__ = ("categories", "probabilities", "cells")
+
+    def __init__(self, categories: tuple, probabilities: np.ndarray, cells: list) -> None:
+        probabilities.flags.writeable = False
+        self.categories = categories
+        self.probabilities = probabilities
+        self.cells = cells
+
+    @classmethod
+    def from_cells(
+        cls, domain: Sequence[Hashable], cells: Sequence[CategoricalDistribution]
+    ) -> "_CategoricalColumn":
+        """The column of one distribution per tuple over ``domain``."""
+        index_of: dict[Hashable, int] = {}
+        for category in domain:
+            index_of.setdefault(category, len(index_of))
+        rows, columns, values = [], [], []
+        for row, cell in enumerate(cells):
+            for category, probability in cell.items():
+                rows.append(row)
+                columns.append(index_of.setdefault(category, len(index_of)))
+                values.append(probability)
+        probabilities = np.zeros((len(cells), len(index_of)))
+        probabilities[rows, columns] = values
+        return cls(tuple(index_of), probabilities, list(cells))
+
+    def take(self, rows: np.ndarray) -> "_CategoricalColumn":
+        """The column of the tuples at ``rows`` (in that order)."""
+        return _CategoricalColumn(
+            self.categories, self.probabilities[rows], [self.cells[i] for i in rows]
+        )
+
+
 class _FusedColumns:
     """All of a store's numerical columns concatenated into one flat layout.
 
@@ -210,10 +280,7 @@ class _FusedColumns:
     arrays instead of once per attribute, which removes the dominant
     per-node cost on datasets with many attributes (each numpy call then
     touches ``k`` attributes' samples at once).  Attribute ``a``'s samples
-    occupy ``[base[a], base[a] + size_a)`` of every fused array; the
-    ``*_padded`` index space additionally shifts attribute ``a`` by ``a``
-    so that a range-``stop`` marker falling on a segment boundary cannot
-    collide with the next attribute's first sample.
+    occupy ``[base[a], base[a] + size_a)`` of every fused array.
     """
 
     __slots__ = (
@@ -226,11 +293,9 @@ class _FusedColumns:
         "sorted_masses",
         "sorted_tuple_id",
         "sorted_flat_full",
-        "sort_order_padded",
         "seg_base",
         "seg_end",
         "is_uniform",
-        "row_pad",
     )
 
     def __init__(self, columns: "list[_AttributeColumn]") -> None:
@@ -247,11 +312,9 @@ class _FusedColumns:
         self.sorted_values = np.concatenate([view.values for view in views])
         self.sorted_masses = np.concatenate([view.masses for view in views])
         self.sorted_tuple_id = np.concatenate([view.tuple_id for view in views])
-        row_of_sample = np.repeat(np.arange(k, dtype=np.int64), sizes)
         self.sorted_flat_full = np.concatenate(
             [view.order + b for view, b in zip(views, base)]
         )
-        self.sort_order_padded = self.sorted_flat_full + row_of_sample
         self.seg_base = np.vstack(
             [column.offsets[:-1] + b for column, b in zip(columns, base)]
         )
@@ -259,18 +322,17 @@ class _FusedColumns:
             [column.offsets[1:] + b for column, b in zip(columns, base)]
         )
         self.is_uniform = np.vstack([column.is_uniform for column in columns])
-        self.row_pad = np.arange(k, dtype=np.int64)[:, None]
 
 
 class ColumnarNodeView:
     """One tree node's (fractional) tuple population, as index ranges.
 
-    ``tuple_ids`` index into the originating dataset/store; ``weights`` are
-    the current fractional tuple weights; ``starts`` / ``stops`` have shape
-    ``(n_numerical_attributes, n_tuples)`` and delimit each tuple's live
-    sample range per attribute (rows follow the store's numerical-attribute
-    order).  The flat sample arrays themselves are shared with the store —
-    a view never copies or renormalises them.
+    ``tuple_ids`` index into the originating dataset/store, in ascending
+    order; ``weights`` are the current fractional tuple weights; ``starts``
+    / ``stops`` have shape ``(n_numerical_attributes, n_tuples)`` and
+    delimit each tuple's live sample range per attribute (rows follow the
+    store's numerical-attribute order).  The flat sample arrays themselves
+    are shared with the store — a view never copies or renormalises them.
     """
 
     __slots__ = ("tuple_ids", "weights", "starts", "stops", "_sorted")
@@ -303,32 +365,63 @@ class ColumnarNodeView:
     def total_weight(self) -> float:
         return float(self.weights.sum())
 
-    def select(self, mask_or_indices: np.ndarray) -> "ColumnarNodeView":
-        """Sub-view containing the selected tuples (ranges unchanged)."""
-        return ColumnarNodeView(
-            self.tuple_ids[mask_or_indices],
-            self.weights[mask_or_indices],
-            self.starts[:, mask_or_indices],
-            self.stops[:, mask_or_indices],
-        )
+    def _child_order(
+        self,
+        positions: np.ndarray,
+        selected: np.ndarray,
+        segment: slice | None = None,
+        in_segment: np.ndarray | None = None,
+    ) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+        """The live-sample order of the child keeping the ``selected`` tuples.
 
-    def reweighted(self, weights: np.ndarray) -> "ColumnarNodeView":
-        """Same tuples and ranges with different fractional weights."""
-        return ColumnarNodeView(self.tuple_ids, np.asarray(weights, dtype=float),
-                                self.starts, self.stops)
+        Pure filtering of this view's order (see ``_sorted``; ``positions``
+        holds each live sample's tuple position in the ascending view): the
+        child keeps its tuples' samples in parent order, restricted inside
+        one attribute's ``segment`` to the samples flagged by ``in_segment``
+        — the same arrays a fresh sort of the child would produce, without
+        sorting.
+        """
+        sorted_flat, live_counts, tuple_of_sample = self._sorted
+        keep = selected[positions]
+        if segment is not None:
+            keep[segment] &= in_segment
+        segment_starts = np.cumsum(live_counts) - live_counts
+        return sorted_flat[keep], np.add.reduceat(keep, segment_starts), tuple_of_sample[keep]
+
+    def share(self, weights: np.ndarray, weight_eps: float = 0.0) -> "ColumnarNodeView | None":
+        """The tuples whose new ``weights`` exceed ``weight_eps``, at those weights.
+
+        Ranges are unchanged and a known live-sample order is carried over;
+        ``None`` when no tuple is left.
+        """
+        selected = weights > weight_eps
+        if not selected.any():
+            return None
+        child = ColumnarNodeView(
+            self.tuple_ids[selected], weights[selected],
+            self.starts[:, selected], self.stops[:, selected],
+        )
+        if self._sorted is not None:
+            positions = np.searchsorted(self.tuple_ids, self._sorted[2])
+            child._sorted = self._child_order(positions, selected)
+        return child
 
 
 class ColumnarPdfStore:
-    """Columnar storage of a dataset's numerical pdfs plus tuple metadata.
+    """Columnar storage of a dataset's attributes plus tuple metadata.
 
-    Build one with :meth:`from_dataset` (from a dataset's pdf objects) or
-    :meth:`from_rows` (from whole columns of pdf arrays, with no objects);
-    the store is immutable and shared by every node view derived from it.
+    ``columns`` holds one column per attribute: numerical attributes keep
+    their pdfs as flat sample arrays, categorical ones a probability matrix.
+    Build one with :meth:`from_dataset` (from a dataset's tuples) or
+    :meth:`from_columns` (from whole columns, with no tuple objects); the
+    store is immutable and shared by every node view derived from it.
     """
 
     __slots__ = (
         "n_tuples",
+        "columns",
         "numerical_indices",
+        "categorical_indices",
         "class_of",
         "base_weights",
         "n_classes",
@@ -340,16 +433,22 @@ class ColumnarPdfStore:
 
     def __init__(
         self,
-        n_tuples: int,
-        numerical_indices: Sequence[int],
-        columns: list[_AttributeColumn],
+        columns: "Sequence[_AttributeColumn | _CategoricalColumn]",
         class_of: np.ndarray,
         base_weights: np.ndarray,
         n_classes: int,
     ) -> None:
-        self.n_tuples = n_tuples
-        self.numerical_indices = tuple(numerical_indices)
-        self._columns = columns
+        self.n_tuples = int(class_of.size)
+        self.columns = tuple(columns)
+        self.numerical_indices = tuple(
+            index for index, column in enumerate(self.columns)
+            if isinstance(column, _AttributeColumn)
+        )
+        self.categorical_indices = tuple(
+            index for index, column in enumerate(self.columns)
+            if isinstance(column, _CategoricalColumn)
+        )
+        self._columns = [self.columns[index] for index in self.numerical_indices]
         self._row_of_attribute = {attr: row for row, attr in enumerate(self.numerical_indices)}
         self.class_of = class_of
         self.base_weights = base_weights
@@ -363,7 +462,7 @@ class ColumnarPdfStore:
     def from_dataset(
         cls, dataset: UncertainDataset, *, require_labels: bool = False
     ) -> "ColumnarPdfStore":
-        """Flatten every numerical attribute of ``dataset`` into columns.
+        """Flatten every attribute of ``dataset`` into columns.
 
         With ``require_labels=True`` a tuple without a class label raises
         :class:`~repro.exceptions.SplitError` (training data must be
@@ -396,9 +495,6 @@ class ColumnarPdfStore:
     def _build_from_dataset(
         cls, dataset: UncertainDataset, *, require_labels: bool
     ) -> "ColumnarPdfStore":
-        numerical_indices = [
-            index for index, attribute in enumerate(dataset.attributes) if attribute.is_numerical
-        ]
         n = len(dataset)
         label_index = {label: i for i, label in enumerate(dataset.class_labels)}
         class_of = np.empty(n, dtype=np.int64)
@@ -411,27 +507,54 @@ class ColumnarPdfStore:
             else:
                 class_of[i] = label_index[item.label]
             base_weights[i] = item.weight
-
         columns = [
-            _AttributeColumn.from_pdfs([item.pdf(attr_index) for item in dataset.tuples])
-            for attr_index in numerical_indices
+            _CategoricalColumn.from_cells(
+                attribute.domain, [item.categorical(index) for item in dataset.tuples]
+            )
+            if attribute.is_categorical
+            else _AttributeColumn.from_pdfs([item.pdf(index) for item in dataset.tuples])
+            for index, attribute in enumerate(dataset.attributes)
         ]
-        return cls(n, numerical_indices, columns, class_of, base_weights,
-                   len(dataset.class_labels))
+        return cls(columns, class_of, base_weights, len(dataset.class_labels))
 
     @classmethod
-    def from_rows(
-        cls, columns: Sequence[PdfRows], class_of: np.ndarray, n_classes: int
+    def from_columns(
+        cls,
+        columns: "Sequence[PdfRows | _AttributeColumn | _CategoricalColumn]",
+        class_of: np.ndarray,
+        n_classes: int,
     ) -> "ColumnarPdfStore":
-        """A store of all-numerical, whole (weight 1) tuples, from pdf rows.
+        """A store of whole (weight 1) tuples, from one column per attribute.
 
-        ``columns[a]`` holds attribute ``a``'s pdf of every tuple (see
-        :class:`~repro.core.pdf.PdfRows`), ``class_of`` each tuple's class
-        index (``-1`` when unlabelled).  The arrays are adopted, not copied.
+        ``columns[a]`` is attribute ``a``'s column, or for a numerical
+        attribute the :class:`~repro.core.pdf.PdfRows` of every tuple's pdf
+        (adopted, not copied).  ``class_of`` holds each tuple's class index
+        (``-1`` when unlabelled).
         """
-        n = int(class_of.size)
-        return cls(n, range(len(columns)), [_AttributeColumn.from_rows(rows) for rows in columns],
-                   class_of, np.ones(n), n_classes)
+        columns = [
+            _AttributeColumn.from_rows(column) if isinstance(column, PdfRows) else column
+            for column in columns
+        ]
+        return cls(columns, class_of, np.ones(class_of.size), n_classes)
+
+    def take(self, rows: np.ndarray) -> "ColumnarPdfStore":
+        """The store of the tuples at ``rows`` (in that order, repeats allowed)."""
+        rows = np.asarray(rows, dtype=np.int64)
+        return ColumnarPdfStore(
+            [column.take(rows) for column in self.columns],
+            self.class_of[rows], self.base_weights[rows], self.n_classes,
+        )
+
+    def select(self, attribute_indices: Sequence[int]) -> "ColumnarPdfStore":
+        """The store of the given attributes only, sharing their columns.
+
+        Shared numerical columns keep their sorted view, so a column sorts
+        once however many projections train on it.
+        """
+        return ColumnarPdfStore(
+            [self.columns[index] for index in attribute_indices],
+            self.class_of, self.base_weights, self.n_classes,
+        )
 
     # -- basic accessors -----------------------------------------------------
 
@@ -448,22 +571,6 @@ class ColumnarPdfStore:
             raise SplitError(
                 f"attribute {attribute_index} is not a numerical attribute of this store"
             ) from exc
-
-    def pdf_arrays(self, attribute_index: int, tuple_id: int) -> tuple[np.ndarray, np.ndarray]:
-        """Zero-copy ``(values, masses)`` slices of one tuple's stored pdf."""
-        column = self._columns[self.row_of(attribute_index)]
-        start, stop = column.offsets[tuple_id], column.offsets[tuple_id + 1]
-        return column.values[start:stop], column.masses[start:stop]
-
-    def pdf_views(self, attribute_index: int) -> list[SampledPdf]:
-        """Every tuple's pdf of one attribute, as read-only views of the store."""
-        return self._columns[self.row_of(attribute_index)].pdf_views()
-
-    def pdf_at(self, attribute_index: int, tuple_id: int) -> SampledPdf:
-        """Reconstruct one tuple's pdf from the flat arrays."""
-        column = self._columns[self.row_of(attribute_index)]
-        values, masses = self.pdf_arrays(attribute_index, tuple_id)
-        return SampledPdf(values, masses, kind=column.kinds[tuple_id])
 
     def root_view(self, *, unit_weights: bool = False) -> ColumnarNodeView:
         """View covering every tuple with its full sample ranges.
@@ -496,15 +603,59 @@ class ColumnarPdfStore:
         """Whether every stored tuple carries a class label."""
         return bool(np.all(self.class_of >= 0))
 
-    # -- split-search support ------------------------------------------------
+    # -- categorical attributes ----------------------------------------------
 
-    def retained_masses(self, view: ColumnarNodeView, attribute_index: int) -> np.ndarray:
-        """Per-tuple probability mass still inside each live sample range."""
-        row = self.row_of(attribute_index)
-        column = self._columns[row]
-        starts, stops = view.starts[row], view.stops[row]
-        segment_base = column.offsets[view.tuple_ids]
-        return column.local_cum[stops - 1] - column.mass_before(starts, segment_base)
+    def category_probabilities(
+        self, view: ColumnarNodeView, attribute_index: int
+    ) -> "tuple[tuple, np.ndarray]":
+        """``(categories, probabilities)`` of a categorical attribute at a node.
+
+        ``probabilities[i, c]`` is the probability of ``categories[c]`` for
+        the view's ``i``-th tuple.
+        """
+        column = self.columns[attribute_index]
+        if not isinstance(column, _CategoricalColumn):
+            raise SplitError(
+                f"attribute {attribute_index} is not a categorical attribute of this store"
+            )
+        return column.categories, column.probabilities[view.tuple_ids]
+
+    def category_counts(self, view: ColumnarNodeView, attribute_index: int) -> np.ndarray:
+        """Weighted class counts per category, shape ``(n_categories, n_classes)``.
+
+        Row ``c`` sums ``weight * probability of category c`` per class in
+        the view's tuple order — the running sums a tuple-by-tuple
+        accumulation produces, bit for bit (absent categories add zeros).
+        """
+        _, probabilities = self.category_probabilities(view, attribute_index)
+        n_categories = probabilities.shape[1]
+        classes = self.class_of[view.tuple_ids]
+        keys = np.arange(n_categories)[:, None] * self.n_classes + classes[None, :]
+        masses = probabilities.T * view.weights[None, :]
+        return np.bincount(
+            keys.ravel(), weights=masses.ravel(), minlength=n_categories * self.n_classes
+        ).reshape(n_categories, self.n_classes)
+
+    def split_categorical(
+        self, view: ColumnarNodeView, attribute_index: int, *, weight_eps: float = 0.0
+    ) -> "dict[Hashable, ColumnarNodeView]":
+        """One child per category, in column order, for a multiway split.
+
+        Each tuple goes down every branch with ``weight * probability`` of
+        that category; a branch keeps the tuples whose share exceeds
+        ``weight_eps`` and a category keeping none has no child.  The
+        children carry the node's live-sample order (as
+        :meth:`split_numerical`'s do), so their contexts need no sort.
+        """
+        categories, probabilities = self.category_probabilities(view, attribute_index)
+        children = {}
+        for column, category in enumerate(categories):
+            child = view.share(view.weights * probabilities[:, column], weight_eps)
+            if child is not None:
+                children[category] = child
+        return children
+
+    # -- split-search support ------------------------------------------------
 
     def build_context(
         self,
@@ -512,12 +663,13 @@ class ColumnarPdfStore:
         attribute_index: int,
         class_labels: Sequence[Hashable],
     ) -> AttributeSplitContext:
-        """Vectorised :class:`AttributeSplitContext` for one attribute of a node.
+        """The :class:`AttributeSplitContext` of one attribute of a node.
 
-        Produces the same sample positions, cumulative weighted masses, end
-        points and candidate split points as the per-tuple constructor, so
-        every split strategy sees identical inputs and reports identical
-        :class:`~repro.core.stats.SplitSearchStats` counts.
+        Produces the same sample positions, weighted masses, end points and
+        candidate split points as :meth:`build_contexts`, so every split
+        strategy sees identical inputs and reports identical
+        :class:`~repro.core.stats.SplitSearchStats` counts.  The builder's
+        attribute-thread path calls it, one attribute per worker.
         """
         row = self.row_of(attribute_index)
         column = self._columns[row]
@@ -579,6 +731,10 @@ class ColumnarPdfStore:
         instead of once per attribute.  On attribute-rich datasets this
         removes most of the per-node numpy dispatch overhead, which is what
         dominates tree construction at realistic node sizes.
+
+        ``view`` must cover the whole store (a root view) or descend from
+        one through :meth:`split_numerical` / :meth:`split_categorical`,
+        which hand each child its live samples in sorted order.
         """
         if view.n_tuples == 0:
             raise SplitError("cannot build a split context for an empty tuple set")
@@ -633,51 +789,23 @@ class ColumnarPdfStore:
             view_position = np.searchsorted(view.tuple_ids, tuple_of_sample)
             sample_scale = scale[row_of_live, view_position]
         else:
-            lengths = view.stops - view.starts
-            live_counts = lengths.sum(axis=1)
-            m_total = int(live_counts.sum())
+            live_counts = (view.stops - view.starts).sum(axis=1)
+            if int(live_counts.sum()) != fused.total_size:
+                raise SplitError(
+                    "a node view must cover the store or descend from a view that does"
+                )
+            # Full coverage (the root node): every stored sample is live, so
+            # the presorted fused arrays are the node arrays — no masking or
+            # gathering at all.
+            m_total = fused.total_size
             row_of_live = np.repeat(np.arange(k, dtype=np.int64), live_counts)
-            if m_total == fused.total_size:
-                # Full coverage (the root node): every stored sample is live,
-                # so the presorted fused arrays are the node arrays — no
-                # masking or gathering at all.
-                sorted_flat = fused.sorted_flat_full
-                tuple_of_sample = fused.sorted_tuple_id
-                positions = fused.sorted_values
-                raw_masses = fused.sorted_masses
-                scale_all = np.zeros((k, self.n_tuples))
-                scale_all[:, view.tuple_ids] = scale
-                sample_scale = scale_all[row_of_live, tuple_of_sample]
-            elif m_total * 4 < fused.total_size:
-                # Small node: gather only the live samples and sort them.
-                # The stable lexsort orders each attribute segment by
-                # position with ties in tuple order — exactly the order the
-                # presorted-column path below produces — at O(m log m)
-                # instead of O(M) cost.
-                flat = _gather_ranges(starts.ravel(), stops.ravel())
-                tuple_of_flat = np.repeat(np.tile(view.tuple_ids, k), lengths.ravel())
-                order = np.lexsort((fused.values[flat], row_of_live))
-                sorted_flat = flat[order]
-                tuple_of_sample = tuple_of_flat[order]
-                positions = fused.values[sorted_flat]
-                raw_masses = fused.masses[sorted_flat]
-                sample_scale = np.repeat(scale.ravel(), lengths.ravel())[order]
-            else:
-                # Large node: mark the live ranges over the padded fused
-                # index space (see _FusedColumns), one cumulative sum, then
-                # read the flags off in each column's presorted order.
-                bounds = np.zeros(fused.total_size + k + 1, dtype=np.int64)
-                bounds[(starts + fused.row_pad).ravel()] += 1
-                bounds[(stops + fused.row_pad).ravel()] -= 1
-                run = np.cumsum(bounds[:-1])
-                live_sorted = run[fused.sort_order_padded] > 0
-                sorted_flat = fused.sorted_flat_full[live_sorted]
-                tuple_of_sample = fused.sorted_tuple_id[live_sorted]
-                positions = fused.sorted_values[live_sorted]
-                raw_masses = fused.sorted_masses[live_sorted]
-                scale_all = np.zeros((k, self.n_tuples))
-                scale_all[:, view.tuple_ids] = scale
-                sample_scale = scale_all[row_of_live, tuple_of_sample]
+            sorted_flat = fused.sorted_flat_full
+            tuple_of_sample = fused.sorted_tuple_id
+            positions = fused.sorted_values
+            raw_masses = fused.sorted_masses
+            scale_all = np.zeros((k, self.n_tuples))
+            scale_all[:, view.tuple_ids] = scale
+            sample_scale = scale_all[row_of_live, tuple_of_sample]
             view._sorted = (sorted_flat, live_counts, tuple_of_sample)
         masses = raw_masses * sample_scale
         classes = self.class_of[tuple_of_sample]
@@ -801,35 +929,19 @@ class ColumnarPdfStore:
                 view.tuple_ids[right_sel], right_weights[right_sel], right_starts, right_stops
             )
 
-        # Derive the children's live-sample order from the parent's by pure
-        # filtering (see ColumnarNodeView._sorted): a child keeps its tuples'
-        # samples in parent order, restricted on the split attribute to the
-        # prefix (left) or suffix (right) of each tuple's range — the same
-        # arrays a fresh sort of the child would produce, without sorting.
+        # The children keep the parent's live-sample order, restricted on
+        # the split attribute to the prefix (left) or suffix (right) of each
+        # tuple's range.
         if view._sorted is not None:
             sorted_flat, live_counts, tuple_of_sample = view._sorted
-            fused = self._fused_columns()
-            sample_bounds = np.zeros(live_counts.size + 1, dtype=np.int64)
-            np.cumsum(live_counts, out=sample_bounds[1:])
-            segment = slice(int(sample_bounds[row]), int(sample_bounds[row + 1]))
-            # Map each sample to its tuple's position in the (ascending)
-            # view, so membership and range tests index per-view arrays
-            # directly — no O(n_tuples) scratch arrays per split.
-            view_position = np.searchsorted(view.tuple_ids, tuple_of_sample)
-            below = sorted_flat[segment] < (boundary + fused.base[row])[
-                view_position[segment]
+            positions = np.searchsorted(view.tuple_ids, tuple_of_sample)
+            start = int(live_counts[:row].sum())
+            segment = slice(start, start + int(live_counts[row]))
+            below = sorted_flat[segment] < (boundary + self._fused_columns().base[row])[
+                positions[segment]
             ]
-            for child_view, selected, keep_below in (
-                (left_view, left_sel, True),
-                (right_view, right_sel, False),
-            ):
-                if child_view is None:
-                    continue
-                keep = selected[view_position]
-                keep[segment] &= below if keep_below else ~below
-                child_view._sorted = (
-                    sorted_flat[keep],
-                    np.add.reduceat(keep, sample_bounds[:-1]),
-                    tuple_of_sample[keep],
-                )
+            if left_view is not None:
+                left_view._sorted = view._child_order(positions, left_sel, segment, below)
+            if right_view is not None:
+                right_view._sorted = view._child_order(positions, right_sel, segment, ~below)
         return left_view, right_view

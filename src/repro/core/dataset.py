@@ -18,7 +18,7 @@ from typing import Hashable, Iterable, Iterator, Sequence, Union
 import numpy as np
 
 from repro.core.categorical import CategoricalDistribution
-from repro.core.pdf import Pdf, PdfRows, SampledPdf
+from repro.core.pdf import Pdf, SampledPdf
 from repro.exceptions import DatasetError
 
 __all__ = [
@@ -189,8 +189,10 @@ class UncertainDataset:
         Optional explicit ordering of class labels.  When omitted, the
         distinct labels found in the tuples are used in sorted order.
 
-    A dataset made by :meth:`from_pdf_rows` holds its pdfs in a columnar
-    store instead, and builds its tuples only when :attr:`tuples` is read.
+    A dataset made by :meth:`from_pdf_rows` holds its attributes in a
+    columnar store instead, and builds its tuples only when :attr:`tuples`
+    is read; :meth:`subset` and :meth:`select_attributes` of such a dataset
+    derive datasets over the store as well.
     """
 
     __slots__ = (
@@ -222,48 +224,62 @@ class UncertainDataset:
     def from_pdf_rows(
         cls,
         attributes: Sequence[Attribute],
-        columns: Sequence[PdfRows],
+        columns: Sequence,
         labels: Sequence[Hashable | None],
         class_labels: Sequence[Hashable] | None = None,
     ) -> "UncertainDataset":
-        """Dataset of whole tuples over numerical attributes, from pdf arrays.
+        """Dataset of whole tuples, from one column of distributions per attribute.
 
-        ``columns[a]`` holds attribute ``a``'s pdf of every tuple (see
-        :class:`~repro.core.pdf.PdfRows`) and ``labels`` one label per
-        tuple.  The arrays go straight into the dataset's
-        :class:`~repro.core.columnar.ColumnarPdfStore`, which training and
-        batch classification read; the per-tuple objects are built from it,
-        as read-only views of its arrays, only when :attr:`tuples` is read.
+        ``columns[a]`` holds attribute ``a``'s value for every tuple: the
+        :class:`~repro.core.pdf.PdfRows` of a numerical attribute, or a
+        column of the :class:`~repro.core.columnar.ColumnarPdfStore` built
+        cell by cell.  ``labels`` holds one label per tuple.  The columns go
+        straight into the dataset's store, which training and batch
+        classification read; the per-tuple objects are built from it (pdfs
+        as read-only views of its arrays, or the cells a column kept) only
+        when :attr:`tuples` is read.
         """
         from repro.core.columnar import ColumnarPdfStore
 
+        labels = list(labels)
+        if class_labels is None:
+            class_labels = _sorted_labels(labels)
+        label_index = {label: i for i, label in enumerate(class_labels)}
+        class_of = np.array([label_index.get(label, -1) for label in labels], dtype=np.int64)
+        store = ColumnarPdfStore.from_columns(columns, class_of, len(class_labels))
+        return cls._over_store(attributes, store, labels, class_labels)
+
+    @classmethod
+    def _over_store(cls, attributes, store, labels: list, class_labels) -> "UncertainDataset":
         dataset = cls.__new__(cls)
         dataset.attributes = tuple(attributes)
         dataset._tuples = None
-        dataset._labels = list(labels)
-        if class_labels is None:
-            class_labels = _sorted_labels(dataset._labels)
+        dataset._labels = labels
         dataset.class_labels = tuple(class_labels)
         dataset._label_index = {label: i for i, label in enumerate(dataset.class_labels)}
-        class_of = np.array(
-            [dataset._label_index.get(label, -1) for label in dataset._labels], dtype=np.int64
-        )
-        dataset._columnar_store = ColumnarPdfStore.from_rows(
-            columns, class_of, len(dataset.class_labels)
-        )
+        dataset._columnar_store = store
         return dataset
 
     @property
     def tuples(self) -> list[UncertainTuple]:
         """The dataset's tuples (built on first read for a columnar dataset)."""
         if self._tuples is None:
-            store = self._columnar_store
-            columns = [store.pdf_views(index) for index in range(len(self.attributes))]
+            columns = [
+                column.cells if column.cells is not None else column.pdf_views()
+                for column in self._columnar_store.columns
+            ]
             self._tuples = [
                 UncertainTuple(features, label=label)
                 for features, label in zip(zip(*columns), self._labels)
             ]
         return self._tuples
+
+    @property
+    def labels(self) -> list[Hashable | None]:
+        """Every tuple's label, read without building tuples when possible."""
+        if self._labels is not None:
+            return list(self._labels)
+        return [item.label for item in self._tuples]
 
     def _validate_tuple(self, item: UncertainTuple, position: int) -> None:
         if len(item.features) != len(self.attributes):
@@ -368,6 +384,13 @@ class UncertainDataset:
 
     def subset(self, indices: Iterable[int]) -> "UncertainDataset":
         """New dataset containing the tuples at ``indices``."""
+        if self._labels is not None:
+            # Positions through arange: negative indices count from the end.
+            rows = np.arange(len(self))[np.fromiter(indices, dtype=np.int64)]
+            return self._over_store(
+                self.attributes, self._columnar_store.take(rows),
+                [self._labels[i] for i in rows], self.class_labels,
+            )
         chosen = [self.tuples[i] for i in indices]
         return self.replace_tuples(chosen)
 
@@ -375,9 +398,10 @@ class UncertainDataset:
         """New dataset keeping only the attribute columns at ``indices``.
 
         Labels, weights and ``class_labels`` are preserved; feature values
-        are shared (not copied), so projecting is cheap.  This is how a
-        feature-subsampled forest member sees its column subset, both at
-        training time and when classifying a full-width dataset.
+        (or a columnar dataset's columns) are shared, not copied, so
+        projecting is cheap.  This is how a feature-subsampled forest member
+        sees its column subset, both at training time and when classifying
+        a full-width dataset.
         """
         index_list = [int(i) for i in indices]
         if not index_list:
@@ -389,6 +413,11 @@ class UncertainDataset:
                     f"{len(self.attributes)} attributes"
                 )
         attributes = [self.attributes[i] for i in index_list]
+        if self._labels is not None:
+            return self._over_store(
+                attributes, self._columnar_store.select(index_list), self._labels,
+                self.class_labels,
+            )
         tuples = [
             UncertainTuple(
                 [item.features[i] for i in index_list],

@@ -6,21 +6,16 @@ that the interiors of *empty* and *homogeneous* intervals never need to be
 searched, and that heterogeneous intervals can be discarded wholesale when a
 dispersion lower bound proves them suboptimal.
 
-Two views of the same information are provided:
-
-* :class:`IntervalTable` — a columnar (array-based) view used by the split
-  strategies; building it and computing all per-interval statistics is fully
-  vectorised, which keeps the bookkeeping cost per interval far below the
-  cost of a dispersion evaluation (as in the paper, where interval handling
-  is cheap relative to entropy computations).
-* :class:`EndPointInterval` / :func:`build_intervals` — an object-per-interval
-  view convenient for inspection and tests.
+:class:`IntervalTable` is that partition as columns (arrays), used by the
+split strategies; building it and computing all per-interval statistics is
+fully vectorised, which keeps the bookkeeping cost per interval far below
+the cost of a dispersion evaluation (as in the paper, where interval
+handling is cheap relative to entropy computations).
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,10 +23,8 @@ from repro.core.splits import AttributeSplitContext
 
 __all__ = [
     "IntervalKind",
-    "EndPointInterval",
     "IntervalTable",
     "build_interval_table",
-    "build_intervals",
     "classify_counts",
 ]
 
@@ -172,58 +165,3 @@ def build_interval_table(
     """
     qs = context.end_points if end_points is None else np.asarray(end_points, dtype=float)
     return IntervalTable(context, qs)
-
-
-@dataclass(frozen=True)
-class EndPointInterval:
-    """Object view of one end-point interval ``(low, high]``.
-
-    Attributes mirror the columns of :class:`IntervalTable`; see that class
-    for their meaning.
-    """
-
-    low: float
-    high: float
-    kind: IntervalKind
-    inside_counts: np.ndarray
-    left_counts: np.ndarray
-    right_counts: np.ndarray
-    interior_candidates: np.ndarray
-
-    @property
-    def is_empty(self) -> bool:
-        return self.kind is IntervalKind.EMPTY
-
-    @property
-    def is_homogeneous(self) -> bool:
-        return self.kind is IntervalKind.HOMOGENEOUS
-
-    @property
-    def is_heterogeneous(self) -> bool:
-        return self.kind is IntervalKind.HETEROGENEOUS
-
-    @property
-    def n_interior_candidates(self) -> int:
-        return int(self.interior_candidates.size)
-
-
-def build_intervals(
-    context: AttributeSplitContext,
-    end_points: np.ndarray | None = None,
-) -> list[EndPointInterval]:
-    """Object-per-interval view of :func:`build_interval_table`."""
-    table = build_interval_table(context, end_points)
-    candidates = context.candidates
-    kinds = table.kinds()
-    return [
-        EndPointInterval(
-            low=float(table.lows[i]),
-            high=float(table.highs[i]),
-            kind=kinds[i],
-            inside_counts=table.inside_counts[i],
-            left_counts=table.left_counts[i],
-            right_counts=table.right_counts[i],
-            interior_candidates=candidates[table.candidate_start[i]: table.candidate_stop[i]],
-        )
-        for i in range(table.n_intervals)
-    ]

@@ -20,20 +20,14 @@ from typing import Hashable, Sequence
 
 import numpy as np
 
-from repro.core.dataset import UncertainTuple
 from repro.core.dispersion import DispersionMeasure
 from repro.exceptions import SplitError
 
 __all__ = [
     "AttributeSplitContext",
     "CandidateSplit",
-    "build_contexts",
     "prepare_sweep_group",
 ]
-
-#: Weighted counts below this value are treated as zero mass.
-_EPS = 1e-12
-
 
 @dataclass(frozen=True)
 class CandidateSplit:
@@ -67,21 +61,10 @@ class CandidateSplit:
 class AttributeSplitContext:
     """Precomputed split-search state for one numerical attribute.
 
-    Parameters
-    ----------
-    attribute_index:
-        Index of the attribute within the dataset schema.
-    tuples:
-        The (fractional) tuples of the node being split.
-    class_labels:
-        Ordered class labels of the dataset; per-class arrays follow this
-        order.
-
-    Tree construction builds its contexts from precomputed per-class arrays
-    with :meth:`from_arrays` (see :mod:`repro.core.columnar`), avoiding the
-    per-tuple Python loop of this constructor; the constructor and
-    :func:`build_contexts` remain as the reference those contexts are
-    tested against.
+    Contexts are built from presorted flat sample arrays with
+    :meth:`from_arrays`, by the columnar store
+    (:meth:`~repro.core.columnar.ColumnarPdfStore.build_contexts`) in tree
+    construction.
     """
 
     __slots__ = (
@@ -102,54 +85,6 @@ class AttributeSplitContext:
         "all_uniform",
         "n_sample_points",
     )
-
-    def __init__(
-        self,
-        attribute_index: int,
-        tuples: Sequence[UncertainTuple],
-        class_labels: Sequence[Hashable],
-    ) -> None:
-        if not tuples:
-            raise SplitError("cannot build a split context for an empty tuple set")
-        self.attribute_index = attribute_index
-        self.class_labels = tuple(class_labels)
-        label_to_index = {label: i for i, label in enumerate(self.class_labels)}
-
-        position_chunks: list[np.ndarray] = []
-        mass_chunks: list[np.ndarray] = []
-        class_chunks: list[np.ndarray] = []
-        end_point_set: set[float] = set()
-        all_uniform = True
-
-        for item in tuples:
-            pdf = item.pdf(attribute_index)
-            if item.label is None:
-                raise SplitError("training tuples must carry a class label")
-            class_index = label_to_index[item.label]
-            position_chunks.append(pdf.xs)
-            mass_chunks.append(pdf.masses * item.weight)
-            class_chunks.append(np.full(pdf.xs.size, class_index, dtype=np.int64))
-            end_point_set.add(pdf.low)
-            end_point_set.add(pdf.high)
-            if pdf.kind not in ("uniform", "point"):
-                all_uniform = False
-
-        positions = np.concatenate(position_chunks)
-        masses = np.concatenate(mass_chunks)
-        classes = np.concatenate(class_chunks)
-        order = np.argsort(positions, kind="stable")
-        sorted_positions = positions[order]
-        end_points = np.array(sorted(end_point_set))
-
-        self._init_from_sorted(
-            sorted_positions,
-            masses[order],
-            classes[order],
-            end_points=end_points,
-            end_point_bounds=None,
-            candidates=None,
-            all_uniform=all_uniform,
-        )
 
     @classmethod
     def from_arrays(
@@ -371,60 +306,6 @@ class AttributeSplitContext:
             left_sizes, inner_left[idx], right_sizes, inner_right[idx], grand_total
         )
         return left_sizes, dispersion
-
-    def interval_counts(self, low: float, high: float) -> np.ndarray:
-        """Weighted per-class counts inside the half-open interval ``(low, high]``."""
-        counts = self.left_counts(np.array([low, high]))
-        return np.clip(counts[1] - counts[0], 0.0, None)
-
-    # -- dispersion evaluation -------------------------------------------------
-
-    def evaluate(self, split_points: np.ndarray, measure: DispersionMeasure) -> np.ndarray:
-        """Dispersion of the splits at each of the given points.
-
-        The caller is responsible for counting these evaluations in its
-        :class:`~repro.core.stats.SplitSearchStats`.
-        """
-        zs = np.asarray(split_points, dtype=float)
-        if zs.size == 0:
-            return np.empty(0)
-        left = self.left_counts(zs)
-        return measure.split_dispersion_batch(left, self.total_counts)
-
-    def best_of(
-        self, split_points: np.ndarray, measure: DispersionMeasure
-    ) -> tuple[float | None, float]:
-        """Best (lowest-dispersion) split among ``split_points``.
-
-        Returns ``(split_point, dispersion)``; ``(None, inf)`` when the
-        candidate list is empty.  Splits that leave one side without any
-        probability mass are not meaningful partitions and are skipped.
-        """
-        zs = np.asarray(split_points, dtype=float)
-        if zs.size == 0:
-            return None, float("inf")
-        left = self.left_counts(zs)
-        left_sizes = left.sum(axis=1)
-        total = float(self.total_counts.sum())
-        valid = (left_sizes > _EPS) & (left_sizes < total - _EPS)
-        if not np.any(valid):
-            return None, float("inf")
-        dispersion = measure.split_dispersion_batch(left, self.total_counts)
-        dispersion = np.where(valid, dispersion, np.inf)
-        best_index = int(np.argmin(dispersion))
-        return float(zs[best_index]), float(dispersion[best_index])
-
-
-def build_contexts(
-    tuples: Sequence[UncertainTuple],
-    numerical_attribute_indices: Sequence[int],
-    class_labels: Sequence[Hashable],
-) -> list[AttributeSplitContext]:
-    """Build one :class:`AttributeSplitContext` per numerical attribute."""
-    return [
-        AttributeSplitContext(attr_index, tuples, class_labels)
-        for attr_index in numerical_attribute_indices
-    ]
 
 
 def prepare_sweep_group(

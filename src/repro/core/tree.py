@@ -362,38 +362,26 @@ class DecisionTree:
                 stack.append((node.right, right_view))
                 continue
             # Categorical multiway test: route each tuple's probability mass
-            # to the matching branches, unmatched mass to the fallback.
-            attribute = self.attributes[node.attribute_index]
-            if not attribute.is_categorical:
+            # to the branches matching the dataset's categories by value, and
+            # unmatched mass to the fallback.
+            if node.attribute_index not in store.categorical_indices:
                 raise TreeError(
                     f"attribute {node.attribute_index} is tested categorically but the "
                     "dataset provides a numerical value"
                 )
-            routed: dict[Hashable, tuple[list[int], list[float]]] = {}
-            unmatched_ids: list[int] = []
-            unmatched_weights: list[float] = []
-            for position, (tuple_id, weight) in enumerate(zip(view.tuple_ids, view.weights)):
-                distribution = dataset.tuples[tuple_id].categorical(node.attribute_index)
-                unmatched = 0.0
-                for category, probability in distribution.items():
-                    if category in node.branches:
-                        positions, weights = routed.setdefault(category, ([], []))
-                        positions.append(position)
-                        weights.append(weight * probability)
-                    else:
-                        unmatched += probability
-                if unmatched > 0.0:
-                    unmatched_ids.append(int(tuple_id))
-                    unmatched_weights.append(weight * unmatched)
-            for category, (positions, weights) in routed.items():
-                child_view = view.select(np.asarray(positions, dtype=np.int64)).reweighted(
-                    np.asarray(weights)
-                )
-                stack.append((node.branches[category], child_view))
-            if unmatched_ids:
+            categories, probabilities = store.category_probabilities(view, node.attribute_index)
+            unmatched = np.zeros(view.n_tuples)
+            for column, category in enumerate(categories):
+                branch = node.branches.get(category)
+                if branch is None:
+                    unmatched += probabilities[:, column]
+                else:
+                    stack.append((branch, view.share(view.weights * probabilities[:, column])))
+            reached = unmatched > 0.0
+            if reached.any():
                 fallback = node.fallback if node.fallback is not None else uniform
-                result[unmatched_ids] += (
-                    np.asarray(unmatched_weights)[:, None] * fallback[None, :]
+                result[view.tuple_ids[reached]] += (
+                    (view.weights[reached] * unmatched[reached])[:, None] * fallback[None, :]
                 )
         totals = result.sum(axis=1)
         positive = totals > 0

@@ -290,9 +290,7 @@ class BaseForestClassifier(BaseTreeEstimator):
         """
         n_rows = len(dataset)
         n_classes = dataset.n_classes
-        label_indices = np.asarray(
-            [dataset.label_index(item.label) for item in dataset.tuples]
-        )
+        label_indices = np.asarray([dataset.label_index(label) for label in dataset.labels])
         votes = np.zeros((n_rows, n_classes))
         vote_counts = np.zeros(n_rows, dtype=np.int64)
         member_scores = np.full(len(plans), np.nan)
@@ -386,9 +384,7 @@ class BaseForestClassifier(BaseTreeEstimator):
         """
         label_map = {label: i for i, label in enumerate(self._class_label_values)}
         try:
-            label_indices = np.asarray(
-                [label_map[item.label] for item in dataset.tuples]
-            )
+            label_indices = np.asarray([label_map[label] for label in dataset.labels])
         except KeyError as exc:
             raise TreeError(
                 f"unknown class label {exc.args[0]!r}; streamed tuples must use "

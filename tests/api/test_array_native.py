@@ -1,10 +1,13 @@
 """Array-native datasets: whole-column pdfs, on-demand objects, lazy sorting.
 
-A table of ``gaussian`` / ``uniform`` / ``point`` columns is built straight
-into a :class:`~repro.core.columnar.ColumnarPdfStore` (bit-identity with the
-per-cell path is pinned by ``tests/property/test_array_native_equivalence.py``).
-These tests pin what the fast path must *not* do — build per-cell objects or
-sort columns when only classifying — and how it rejects non-finite cells.
+Every table — ``gaussian`` / ``uniform`` / ``point`` columns built in
+whole-column passes, ``samples`` and ``categorical`` columns built cell by
+cell — goes straight into a :class:`~repro.core.columnar.ColumnarPdfStore`
+(bit-identity with the per-cell path is pinned by
+``tests/property/test_array_native_equivalence.py``).  These tests pin what
+the one path must *not* do — build tuple objects, pdf objects for number
+columns, or sort columns when only classifying — and how it rejects
+non-finite cells.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import pytest
 
 from repro import UDTClassifier
 from repro.api import build_dataset, categorical, gaussian, point, samples, uniform
-from repro.core import SampledPdf, UncertainDataset
+from repro.core import CategoricalDistribution, SampledPdf, UncertainDataset, UncertainTuple
 from repro.core.columnar import ColumnarPdfStore, _AttributeColumn
 from repro.core.pdf import _linspace_rows
 from repro.ensemble import UDTForestClassifier
@@ -29,6 +32,46 @@ def _table(n_rows: int = 60, seed: int = 0):
     y = np.arange(n_rows) % 3
     X = rng.normal(0.0, 1.0, size=(n_rows, 4)) + y[:, None]
     return X, y
+
+
+#: One column of each of the five specs.
+MIXED_SPEC = [gaussian(0.1, 6), uniform(0.2, 4), point(), samples(), categorical(("lo", "hi"))]
+
+
+def _mixed_table(n_rows: int = 60, seed: int = 0):
+    """Rows of ``MIXED_SPEC``: three number columns, measurements, a category.
+
+    The category tells the classes apart best ("mid" lies outside the
+    domain), so the tree tests it.
+    """
+    X, y = _table(n_rows, seed)
+    category = ["lo", {"hi": 0.8, "lo": 0.2}, "mid"]
+    rows = [
+        [*row[:3], [row[3] - 0.1, row[3], row[3] + 0.2], category[label]]
+        for row, label in zip(X.tolist(), y)
+    ]
+    return rows, y
+
+
+def _spy(monkeypatch, cls, *, adopt: bool = False) -> list:
+    """Record every ``cls`` instance created (and ``_adopt`` calls, if asked)."""
+    created = []
+    init = cls.__init__
+
+    def spy_init(instance, *args, **kwargs):
+        created.append(instance)
+        init(instance, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "__init__", spy_init)
+    if adopt:
+        original = cls._adopt.__func__
+
+        def spy_adopt(owner, *args):
+            created.append(owner)
+            return original(owner, *args)
+
+        monkeypatch.setattr(cls, "_adopt", classmethod(spy_adopt))
+    return created
 
 
 def test_linspace_rows_equal_numpy_linspace_row_by_row():
@@ -57,22 +100,38 @@ class TestArrayNativePath:
         assert store is dataset._columnar_store
 
     @pytest.mark.parametrize("spec", [{2: samples()}, {0: categorical()}])
-    def test_samples_and_categorical_tables_keep_the_per_cell_path(self, spec):
+    def test_samples_and_categorical_tables_are_store_backed(self, spec):
         X, y = _table()
         X = X.tolist()
         if 0 in spec:
             for row in X:
                 row[0] = "lo" if row[0] < 1 else "hi"
         dataset = build_dataset(X, y, spec=spec)
-        assert dataset._tuples is not None
+        assert dataset._tuples is None
+        store = dataset._columnar_store
+        assert store.categorical_indices == ((0,) if 0 in spec else ())
+        # Cell-built columns hand their cells to the on-demand tuples.
+        cells = store.columns[next(iter(spec))].cells
+        assert [item.features[next(iter(spec))] for item in dataset.tuples] == cells
+        assert dataset.tuples[3].features[next(iter(spec))] is cells[3]
+
+    def test_categories_outside_the_domain_get_their_own_column(self):
+        rows = [["red"], [{"violet": 0.5, "blue": 0.5}], ["blue"], [{"teal": 1.0}]]
+        dataset = build_dataset(rows, [0, 1, 0, 1], spec=categorical(("blue", "red")))
+        column = dataset._columnar_store.columns[0]
+        assert column.categories == ("blue", "red", "violet", "teal")
+        assert column.probabilities.tolist() == [
+            [0.0, 1.0, 0.0, 0.0], [0.5, 0.0, 0.5, 0.0], [1.0, 0.0, 0.0, 0.0],
+            [0.0, 0.0, 0.0, 1.0],
+        ]
 
     def test_tuples_are_read_only_views_of_the_store(self):
         X, y = _table()
         dataset = build_dataset(X, y, spec=gaussian(0.1, 10))
-        store = dataset._columnar_store
+        column = dataset._columnar_store.columns[2]
         pdf = dataset.tuples[7].pdf(2)
-        values, masses = store.pdf_arrays(2, 7)
-        assert np.shares_memory(pdf.xs, values) and np.shares_memory(pdf.masses, masses)
+        assert np.shares_memory(pdf.xs, column.values)
+        assert np.shares_memory(pdf.masses, column.masses)
         with pytest.raises(ValueError):
             pdf.xs[0] = 0.0
         assert dataset.tuples[7].label == y[7]
@@ -138,6 +197,55 @@ class TestPredictBuildsNothingPerCell:
         assert calls.count(True) == X.shape[1]
 
 
+class TestOnePath:
+    """Fit and predict read the store for every spec: no tuple objects."""
+
+    def test_fit_and_predict_on_a_mix_of_every_spec(self, monkeypatch):
+        rows, y = _mixed_table()
+        tuples = _spy(monkeypatch, UncertainTuple)
+        model = UDTClassifier(spec=MIXED_SPEC).fit(rows, y)
+        model.predict_proba(rows[:17])
+        model.predict(rows[:1])
+        assert any(not node.is_leaf and not node.is_numerical_test
+                   for node in model.tree_.iter_nodes())
+        assert tuples == []
+
+    def test_sequential_forest_with_bootstrap_and_feature_subsets(self, monkeypatch):
+        rows, y = _mixed_table()
+        tuples = _spy(monkeypatch, UncertainTuple)
+        forest = UDTForestClassifier(spec=MIXED_SPEC, n_estimators=4, bootstrap=True,
+                                     feature_subsample="sqrt", oob_score=True,
+                                     random_state=0).fit(rows, y)
+        forest.predict_proba(rows[:17])
+        forest.member_votes(rows[:5])
+        assert tuples == []
+
+    def test_number_columns_of_mixed_tables_make_no_pdf_objects(self, monkeypatch):
+        rows, y = _mixed_table()
+        pdfs = _spy(monkeypatch, SampledPdf, adopt=True)
+        categories = _spy(monkeypatch, CategoricalDistribution)
+        build_dataset(rows, y, spec=MIXED_SPEC)
+        # One pdf per samples cell and one distribution per categorical cell.
+        assert len(pdfs) == len(rows) and len(categories) == len(rows)
+
+    def test_store_derived_forest_equals_the_tuple_derived_one(self):
+        rows, y = _mixed_table()
+        dataset = build_dataset(rows, y, spec=MIXED_SPEC)
+        tuple_backed = pickle.loads(pickle.dumps(dataset))
+        assert tuple_backed._columnar_store is None
+        params = dict(n_estimators=5, feature_subsample="sqrt", oob_score=True, random_state=3)
+        ours = UDTForestClassifier(**params).fit(dataset)
+        theirs = UDTForestClassifier(**params).fit(tuple_backed)
+        assert [tree.structure_signature() for tree in ours.trees_] == [
+            tree.structure_signature() for tree in theirs.trees_
+        ]
+        assert ours.oob_score_ == theirs.oob_score_
+        assert np.array_equal(ours.oob_member_scores_, theirs.oob_member_scores_,
+                              equal_nan=True)
+        assert ours.predict_proba(dataset).tobytes() == theirs.predict_proba(
+            tuple_backed).tobytes()
+
+
 class TestNonFiniteCells:
     """NaN/Inf is rejected up front, naming the row and the column."""
 
@@ -159,6 +267,23 @@ class TestNonFiniteCells:
                     model.predict_proba(X_bad)
                 else:
                     model.partial_fit(X_bad, y)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    @pytest.mark.parametrize("call", ["fit", "predict_proba", "partial_fit"])
+    def test_rejected_in_mixed_tables(self, bad, call):
+        rows, y = _mixed_table()
+        model = UDTClassifier(spec=MIXED_SPEC).fit(rows, y)
+        bad_rows = [list(row) for row in rows]
+        bad_rows[4][2] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PdfError, match=r"^row 4, column 2 \('A3'\) is -?(nan|inf)"):
+                if call == "fit":
+                    UDTClassifier(spec=MIXED_SPEC).fit(bad_rows, y)
+                elif call == "predict_proba":
+                    model.predict_proba(bad_rows)
+                else:
+                    model.partial_fit(bad_rows, y)
 
     def test_message_uses_the_column_names(self):
         X, y = _table()

@@ -5,14 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import SampledPdf, UncertainTuple
-from repro.core.intervals import (
-    IntervalKind,
-    build_interval_table,
-    build_intervals,
-    classify_counts,
-)
-from repro.core.splits import AttributeSplitContext
+from repro.core import Attribute, SampledPdf, UncertainDataset, UncertainTuple
+from repro.core.columnar import ColumnarPdfStore
+from repro.core.intervals import IntervalKind, build_interval_table, classify_counts
 
 
 def _context():
@@ -32,7 +27,9 @@ def _context():
         UncertainTuple([SampledPdf(np.linspace(6, 8, 5), np.ones(5))], "b"),
         UncertainTuple([SampledPdf(np.linspace(1.5, 2.5, 5), np.ones(5))], "b"),
     ]
-    return AttributeSplitContext(0, tuples, ["a", "b"])
+    dataset = UncertainDataset([Attribute.numerical("x")], tuples)
+    store = ColumnarPdfStore.from_dataset(dataset, require_labels=True)
+    return store.build_contexts(store.root_view(), dataset.class_labels)[0]
 
 
 class TestClassifyCounts:
@@ -70,11 +67,12 @@ class TestIntervalTable:
             recomposed = table.left_counts[i] + table.inside_counts[i] + table.right_counts[i]
             assert recomposed == pytest.approx(totals)
 
-    def test_inside_counts_match_interval_counts(self):
+    def test_inside_counts_match_left_count_differences(self):
         context = _context()
         table = build_interval_table(context)
         for i in range(table.n_intervals):
-            expected = context.interval_counts(float(table.lows[i]), float(table.highs[i]))
+            counts = context.left_counts(np.array([table.lows[i], table.highs[i]]))
+            expected = np.clip(counts[1] - counts[0], 0.0, None)
             assert table.inside_counts[i] == pytest.approx(expected)
 
     def test_interior_candidates_are_strictly_inside(self):
@@ -108,32 +106,34 @@ class TestIntervalTable:
         assert table.gather_interiors(np.zeros(0, dtype=bool)).size == 0
 
 
-class TestBuildIntervalsObjects:
-    def test_object_view_matches_table(self):
+class TestIntervalKinds:
+    def test_kinds_match_the_flags(self):
+        table = build_interval_table(_context())
+        kinds = table.kinds()
+        assert len(kinds) == table.n_intervals
+        assert np.all(table.lows < table.highs)
+        for kind, empty, homogeneous in zip(kinds, table.is_empty, table.is_homogeneous):
+            expected = (
+                IntervalKind.EMPTY if empty
+                else IntervalKind.HOMOGENEOUS if homogeneous
+                else IntervalKind.HETEROGENEOUS
+            )
+            assert kind is expected
+
+    def test_kind_semantics(self):
         context = _context()
         table = build_interval_table(context)
-        intervals = build_intervals(context)
-        assert len(intervals) == table.n_intervals
-        for obj, kind in zip(intervals, table.kinds()):
-            assert obj.kind is kind
-            assert obj.low < obj.high
-
-    def test_object_properties(self):
-        context = _context()
-        intervals = build_intervals(context)
-        empties = [i for i in intervals if i.is_empty]
-        heteros = [i for i in intervals if i.is_heterogeneous]
-        homos = [i for i in intervals if i.is_homogeneous]
-        assert empties and heteros and homos
-        for interval in empties:
+        assert table.is_empty.any() and table.is_heterogeneous.any()
+        assert table.is_homogeneous.any()
+        for i in np.flatnonzero(table.is_empty):
             # No mass strictly inside an empty interval (mass may sit exactly
             # on the right end point, which belongs to the next pdf's domain).
             open_mass = context.left_counts(
-                np.array([interval.high]), inclusive=False
-            )[0] - context.left_counts(np.array([interval.low]))[0]
+                np.array([table.highs[i]]), inclusive=False
+            )[0] - context.left_counts(np.array([table.lows[i]]))[0]
             assert np.clip(open_mass, 0, None).sum() == pytest.approx(0.0)
-        for interval in heteros:
-            assert (interval.inside_counts > 0).sum() >= 2
+        for i in np.flatnonzero(table.is_heterogeneous):
+            assert (table.inside_counts[i] > 0).sum() >= 2
 
     def test_open_counts_never_exceed_closed_counts(self):
         table = build_interval_table(_context())

@@ -8,7 +8,6 @@ import numpy as np
 
 from repro.core import SampledPdf, UncertainTuple
 from repro.core.dispersion import EntropyMeasure, GainRatioMeasure, get_measure
-from repro.core.splits import build_contexts
 from repro.core.stats import SplitSearchStats
 from repro.core.strategies import (
     STRATEGY_NAMES,
@@ -19,6 +18,8 @@ from repro.core.strategies import (
 from repro.data import inject_uncertainty
 from repro.data.synthetic import ClassificationSpec, make_point_dataset
 from repro.exceptions import SplitError
+
+from tuple_contexts import build_contexts
 
 
 def _uncertain_contexts(seed=0, n_tuples=40, error_model="gaussian", n_samples=10):

@@ -7,11 +7,12 @@ import pytest
 
 from repro.core import SampledPdf, UncertainTuple
 from repro.core.dispersion import EntropyMeasure
-from repro.core.splits import build_contexts
 from repro.core.stats import SplitSearchStats
 from repro.core.strategies import UDTStrategy
 from repro.core.unbounded import PercentileGPStrategy, percentile_pseudo_end_points
 from repro.exceptions import SplitError
+
+from tuple_contexts import build_contexts
 
 
 def _contexts(seed=0):

@@ -1,14 +1,16 @@
 """Per-tuple reference tree builder: the equivalence oracle of the columnar store.
 
 :class:`~repro.core.builder.TreeBuilder` builds every tree on the flat-array
-:class:`~repro.core.columnar.ColumnarPdfStore`.  :class:`TupleReferenceBuilder`
-is the same greedy recursion written directly over the per-tuple object
-model: per-tuple split contexts (:func:`~repro.core.splits.build_contexts`)
-and fractional tuples cut with :meth:`~repro.core.pdf.SampledPdf.split_at` /
+:class:`~repro.core.columnar.ColumnarPdfStore`, categorical attributes
+included.  :class:`TupleReferenceBuilder` is the same greedy recursion
+written directly over the per-tuple object model: per-tuple split contexts
+(``tuple_contexts.build_contexts``), categorical buckets summed one tuple
+and one category at a time, and fractional tuples cut with
+:meth:`~repro.core.pdf.SampledPdf.split_at` /
 :meth:`~repro.core.dataset.UncertainTuple.with_feature` (Section 3.2).  It
-shares only the configuration, the split strategies, the leaf construction
-and the categorical bucketing with the production builder, so the property
-tests that compare the two keep their teeth.
+shares only the configuration, the split strategies and the leaf
+construction with the production builder, so the property tests that
+compare the two keep their teeth.
 """
 
 from __future__ import annotations
@@ -21,10 +23,12 @@ from repro.core.builder import _EPS, BuildResult, TreeBuilder
 from repro.core.categorical import CategoricalDistribution
 from repro.core.dataset import UncertainDataset, UncertainTuple
 from repro.core.postprune import pessimistic_prune
-from repro.core.splits import CandidateSplit, build_contexts
+from repro.core.splits import CandidateSplit
 from repro.core.stats import BuildStats, SplitSearchStats, Timer
 from repro.core.tree import DecisionTree, InternalNode, TreeNode
 from repro.exceptions import DatasetError
+
+from tuple_contexts import build_contexts
 
 __all__ = ["TupleReferenceBuilder"]
 
@@ -140,6 +144,24 @@ class TupleReferenceBuilder(TreeBuilder):
                     categorical=True,
                 )
         return best
+
+    @staticmethod
+    def _categorical_buckets(
+        dataset: UncertainDataset,
+        attribute_index: int,
+        weighted_items: "list[tuple[UncertainTuple, float]]",
+    ) -> dict[Hashable, np.ndarray]:
+        """Per-category weighted class counts for a categorical attribute."""
+        attribute = dataset.attributes[attribute_index]
+        buckets = {value: np.zeros(dataset.n_classes) for value in attribute.domain}
+        for item, weight in weighted_items:
+            distribution = item.categorical(attribute_index)
+            label_index = dataset.label_index(item.label)
+            for category, probability in distribution.items():
+                if category not in buckets:
+                    buckets[category] = np.zeros(dataset.n_classes)
+                buckets[category][label_index] += weight * probability
+        return buckets
 
     def _grow_numerical(
         self,

@@ -12,8 +12,8 @@ The generated tables include the cases that break a naive vectorisation:
 * rows of 100 samples (a strided ``np.linspace(..., axis=1)`` output sums
   differently in the last bit from the scalar calls);
 * supports narrower than the value's spacing (huge values with small
-  widths), which repeat grid points or invert the support and must fall
-  back to the per-cell path, errors included;
+  widths), which repeat grid points or invert the support, so that column
+  must be built cell by cell, errors included;
 * supports near zero so narrow that the grid step underflows, which sends
   ``np.linspace`` to another formula for every row;
 * ``s`` = 1 and 2, and one-row batches scaled by given extents (serving).
@@ -180,7 +180,10 @@ def test_store_and_views_equal_the_per_cell_reference(table):
             build_dataset(X, y, spec=spec, extents=extents)
         return
     dataset = build_dataset(X, y, spec=spec, extents=extents)
-    event("array-native" if dataset._tuples is None else "per-cell fallback")
+    colspecs = resolve_table_spec(spec, X.shape[1])
+    widths = [None if extent is None else extent[1] - extent[0] for extent in used_extents]
+    rows = [colspec.pdf_rows(X[:, j], widths[j]) for j, colspec in enumerate(colspecs)]
+    event("whole-column passes" if all(r is not None for r in rows) else "a column cell by cell")
     assert len(dataset) == len(reference)
     assert_same_store(dataset, reference)
     assert_same_tuples(dataset, reference)

@@ -23,11 +23,12 @@ from repro.core import (
 )
 from repro.core.builder import TreeBuilder
 from repro.core.columnar import ColumnarPdfStore
-from repro.core.splits import AttributeSplitContext
+from repro.api import build_dataset, categorical, gaussian, point, samples, uniform
 from repro.core.strategies import STRATEGY_NAMES
 from repro.data import inject_uncertainty, load_dataset
 
 from reference_builder import TupleReferenceBuilder
+from tuple_contexts import tuple_context
 
 
 def _random_uncertain_dataset(
@@ -71,22 +72,21 @@ class TestStoreRoundTrip:
         dataset = _random_uncertain_dataset(seed)
         store = ColumnarPdfStore.from_dataset(dataset)
         for attr_index in store.numerical_indices:
+            views = store.columns[attr_index].pdf_views()
             for tuple_id, item in enumerate(dataset.tuples):
-                original = item.pdf(attr_index)
-                values, masses = store.pdf_arrays(attr_index, tuple_id)
-                assert np.array_equal(values, original.xs)
-                assert np.array_equal(masses, original.masses)
-                rebuilt = store.pdf_at(attr_index, tuple_id)
-                assert rebuilt.kind == original.kind
+                original, rebuilt = item.pdf(attr_index), views[tuple_id]
                 assert np.array_equal(rebuilt.xs, original.xs)
+                assert np.array_equal(rebuilt.masses, original.masses)
+                assert np.array_equal(rebuilt.cumulative, original.cumulative)
+                assert rebuilt.kind == original.kind
 
     def test_round_trip_on_injected_uncertainty(self, small_uncertain):
         store = ColumnarPdfStore.from_dataset(small_uncertain)
         for attr_index in store.numerical_indices:
+            views = store.columns[attr_index].pdf_views()
             for tuple_id, item in enumerate(small_uncertain.tuples):
-                values, masses = store.pdf_arrays(attr_index, tuple_id)
-                assert np.array_equal(values, item.pdf(attr_index).xs)
-                assert np.array_equal(masses, item.pdf(attr_index).masses)
+                assert np.array_equal(views[tuple_id].xs, item.pdf(attr_index).xs)
+                assert np.array_equal(views[tuple_id].masses, item.pdf(attr_index).masses)
 
     def test_class_weights_match_labels(self, small_uncertain):
         store = ColumnarPdfStore.from_dataset(small_uncertain)
@@ -106,7 +106,7 @@ class TestContextEquivalence:
         store = ColumnarPdfStore.from_dataset(dataset, require_labels=True)
         columnar = store.build_contexts(store.root_view(), dataset.class_labels)
         for context in columnar:
-            reference = AttributeSplitContext(
+            reference = tuple_context(
                 context.attribute_index, dataset.tuples, dataset.class_labels
             )
             assert np.array_equal(context._positions, reference._positions)
@@ -190,6 +190,70 @@ class TestEngineEquivalence:
         dataset = _random_uncertain_dataset(seed, n_tuples=60, n_categorical=2)
         for strategy in STRATEGY_NAMES:
             self._assert_engines_agree(dataset, strategy)
+
+    @pytest.mark.parametrize("seed", [9, 10])
+    def test_engines_agree_on_a_mixed_table_built_from_rows(self, seed):
+        """Every spec through build_dataset, with a category outside the
+        declared domain.
+
+        Against the same rows flattened from their tuples (the per-cell
+        dataset), the trees are identical to the last bit.  Against the
+        oracle, which walks the dataset's on-demand tuples, the splits and
+        counts are identical; a leaf under two cuts of the same pdf may
+        differ in its last bit (the renormalisation caveat of
+        ``repro.core.columnar``).
+        """
+        rng = np.random.default_rng(seed)
+        rows, labels = [], []
+        for i in range(70):
+            label = ("pos", "neg", "mid")[i % 3]
+            centre = {"pos": 1.0, "neg": -1.0, "mid": 0.0}[label]
+            colour = {
+                "pos": {"red": 0.7, "green": 0.3},
+                "neg": "green" if rng.random() < 0.6 else {"violet": 0.5, "red": 0.5},
+                "mid": {"violet": 0.6, "green": 0.4} if rng.random() < 0.7 else "red",
+            }[label]
+            rows.append([
+                centre + rng.normal(0, 0.9),
+                centre + rng.normal(0, 1.2),
+                float(rng.integers(-2, 3)) + centre,
+                list(centre + rng.normal(0, 0.7, size=int(rng.integers(2, 7)))),
+                colour,
+            ])
+            labels.append(label)
+        spec = [gaussian(0.2, 7), uniform(0.3, 4), point(), samples(),
+                categorical(domain=("red", "green"))]
+        dataset = build_dataset(rows, labels, spec=spec)
+        assert dataset._columnar_store.columns[4].categories == ("red", "green", "violet")
+        per_cell = UncertainDataset(dataset.attributes, dataset.tuples, dataset.class_labels)
+        for strategy in STRATEGY_NAMES:
+            ours = TreeBuilder(strategy=strategy).build(dataset)
+            flat = TreeBuilder(strategy=strategy).build(per_cell)
+            assert ours.tree.structure_signature() == flat.tree.structure_signature()
+            assert ours.stats.split_search == flat.stats.split_search
+            oracle = TupleReferenceBuilder(strategy=strategy).build(dataset)
+            _assert_same_splits(ours.tree.structure_signature(),
+                                oracle.tree.structure_signature())
+            assert (ours.stats.split_search.entropy_evaluations
+                    == oracle.stats.split_search.entropy_evaluations)
+        assert any(node.branches for node in ours.tree.iter_nodes() if not node.is_leaf)
+
+
+def _assert_same_splits(ours: tuple, theirs: tuple) -> None:
+    """Equal signatures, leaf probabilities to within a few ulps."""
+    assert ours[0] == theirs[0] and len(ours) == len(theirs)
+    if ours[0] == "leaf":
+        assert ours[1] == pytest.approx(theirs[1], rel=1e-12, abs=1e-15)
+        return
+    for mine, ref in zip(ours[1:], theirs[1:]):
+        if isinstance(mine, tuple) and mine and mine[0] in ("leaf", "num", "cat"):
+            _assert_same_splits(mine, ref)
+        elif isinstance(mine, tuple):  # a categorical node's (value, child) pairs
+            assert [value for value, _ in mine] == [value for value, _ in ref]
+            for (_, child), (_, ref_child) in zip(mine, ref):
+                _assert_same_splits(child, ref_child)
+        else:
+            assert mine == ref
 
 
 class TestBatchPrediction:

@@ -20,10 +20,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import SampledPdf, UncertainDataset, UncertainTuple, Attribute
 from repro.core.dispersion import EntropyMeasure, GiniMeasure
-from repro.core.splits import build_contexts
 from repro.core.stats import SplitSearchStats
 from repro.core.strategies import STRATEGY_NAMES, get_strategy
 from repro.core.tree import DecisionTree, InternalNode, LeafNode
+
+from tuple_contexts import build_contexts
 
 # ---------------------------------------------------------------------------
 # strategies (generators)

@@ -191,8 +191,8 @@ class TestResplitTrigger:
         """root_split_gain searches the leaf buffer's columnar store; on the
         routed (fractional, truncated) tuples it must give exactly the gain
         of the per-tuple contexts' best split."""
-        from repro.core.splits import build_contexts
         from repro.core.stats import SplitSearchStats
+        from tuple_contexts import build_contexts
 
         X, y = drift_data
         fitted_tree.partial_fit(X, y, resplit_min_weight=1e12)
