@@ -354,8 +354,9 @@ class ColumnarNodeView:
         #: indices grouped by attribute and position-sorted within each
         #: attribute (ties in tuple order), ``live_counts`` the per-attribute
         #: sample counts and ``tuple_of_sample`` each sample's tuple id.
-        #: split_numerical derives the children's state from it by pure
-        #: filtering, so deep nodes never re-sort or re-scan full columns.
+        #: split_numerical and split_categorical derive the children's state
+        #: from it by pure filtering, so deep nodes never re-sort or re-scan
+        #: full columns.
         self._sorted: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     @property
