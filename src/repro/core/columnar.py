@@ -32,7 +32,8 @@ batch classification need:
 * :meth:`ColumnarPdfStore.category_counts` — per-category class counts,
 * :meth:`ColumnarPdfStore.split_numerical` /
   :meth:`~ColumnarPdfStore.split_categorical` — fractional partitioning of
-  all of a node's tuples in one shot,
+  all of a node's tuples in one shot, at a cost in proportion to the node's
+  live samples rather than the column's,
 * :meth:`ColumnarPdfStore.class_weights` — weighted class counts.
 
 The arrays stored are exact copies of the per-tuple distributions, so the
@@ -63,6 +64,12 @@ __all__ = ["ColumnarPdfStore", "ColumnarNodeView"]
 #: Pdf kinds for which end points are the only split candidates (Theorem 3).
 _UNIFORM_KINDS = ("uniform", "point")
 
+#: ``split_numerical`` counts a column of at most this many samples (a served
+#: row, a small batch) with one prefix sum over the whole column: at that
+#: size the prefix sum's few NumPy calls cost less than sizing the node and
+#: gathering its live samples.
+_SMALL_COLUMN = 2048
+
 
 def _gather_ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
     """Flat indices covering every ``[starts[i], stops[i])`` range, in order.
@@ -74,11 +81,8 @@ def _gather_ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
     total = int(lengths.sum())
     if total == 0:
         return np.empty(0, dtype=np.int64)
-    ends = np.cumsum(lengths)
-    begins = ends - lengths
-    return np.arange(total, dtype=np.int64) - np.repeat(begins, lengths) + np.repeat(
-        starts, lengths
-    )
+    begins = np.cumsum(lengths) - lengths
+    return np.arange(total, dtype=np.int64) + np.repeat(starts - begins, lengths)
 
 
 class _SortedColumn(NamedTuple):
@@ -366,6 +370,16 @@ class ColumnarNodeView:
     def total_weight(self) -> float:
         return float(self.weights.sum())
 
+    def _positions(self) -> np.ndarray:
+        """Each live sample's tuple position in this view (see ``_sorted``).
+
+        A dense lookup by tuple id: every sample's tuple is in the view, so
+        this gives the integers a binary search of ``tuple_ids`` would.
+        """
+        lookup = np.empty(int(self.tuple_ids[-1]) + 1, dtype=np.int64)
+        lookup[self.tuple_ids] = np.arange(self.tuple_ids.size)
+        return lookup[self._sorted[2]]
+
     def _child_order(
         self,
         positions: np.ndarray,
@@ -403,8 +417,7 @@ class ColumnarNodeView:
             self.starts[:, selected], self.stops[:, selected],
         )
         if self._sorted is not None:
-            positions = np.searchsorted(self.tuple_ids, self._sorted[2])
-            child._sorted = self._child_order(positions, selected)
+            child._sorted = self._child_order(self._positions(), selected)
         return child
 
 
@@ -783,12 +796,10 @@ class ColumnarPdfStore:
             row_of_live = np.repeat(np.arange(k, dtype=np.int64), live_counts)
             positions = fused.values[sorted_flat]
             raw_masses = fused.masses[sorted_flat]
-            # view.tuple_ids is always ascending (children select ordered
-            # subsets of the root's arange), so each sample's position in
-            # the view is a binary search — O(m log m) instead of scattering
-            # a dense (k, n_tuples) matrix per node.
-            view_position = np.searchsorted(view.tuple_ids, tuple_of_sample)
-            sample_scale = scale[row_of_live, view_position]
+            # Each sample's position in the view comes from a lookup by
+            # tuple id — O(m) instead of scattering a dense (k, n_tuples)
+            # matrix per node.
+            sample_scale = scale[row_of_live, view._positions()]
         else:
             live_counts = (view.stops - view.starts).sum(axis=1)
             if int(live_counts.sum()) != fused.total_size:
@@ -892,10 +903,21 @@ class ColumnarPdfStore:
         starts, stops = view.starts[row], view.stops[row]
         lengths = stops - starts
 
-        # Per-tuple count of sample positions <= z, via one prefix sum over
-        # the whole column (each tuple's segment is sorted).
-        below = np.cumsum(column.values <= split_point)
-        counts = below[stops - 1] - np.where(starts > 0, below[np.maximum(starts - 1, 0)], 0)
+        # Per-tuple count of live sample positions <= z (each tuple's segment
+        # is sorted).  A small column, or a node holding at least half of the
+        # column's samples, takes one prefix sum over the whole column; a
+        # smaller node compares only its own live samples and sums them per
+        # range, so its cost follows the node, not the column.  reduceat
+        # needs every live range non-empty, and each is: a pdf has at least
+        # one sample, and a child keeps a tuple only when its side holds a
+        # positive share of it.
+        size = column.values.size
+        if size <= _SMALL_COLUMN or 2 * int(lengths.sum()) >= size:
+            below = np.cumsum(column.values <= split_point)
+            counts = below[stops - 1] - np.where(starts > 0, below[np.maximum(starts - 1, 0)], 0)
+        else:
+            at_most = column.values[_gather_ranges(starts, stops)] <= split_point
+            counts = np.add.reduceat(at_most, np.cumsum(lengths) - lengths)
 
         segment_base = column.offsets[view.tuple_ids]
         mass_before_start = column.mass_before(starts, segment_base)
@@ -934,8 +956,8 @@ class ColumnarPdfStore:
         # the split attribute to the prefix (left) or suffix (right) of each
         # tuple's range.
         if view._sorted is not None:
-            sorted_flat, live_counts, tuple_of_sample = view._sorted
-            positions = np.searchsorted(view.tuple_ids, tuple_of_sample)
+            sorted_flat, live_counts, _ = view._sorted
+            positions = view._positions()
             start = int(live_counts[:row].sum())
             segment = slice(start, start + int(live_counts[row]))
             below = sorted_flat[segment] < (boundary + self._fused_columns().base[row])[

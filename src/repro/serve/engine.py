@@ -631,7 +631,12 @@ class InferenceEngine:
         self._adjust_queued(name, -total)
         return taken
 
-    def _invoke(self, model_name: str, model, matrix: np.ndarray) -> np.ndarray:
+    def _invoke(self, model_name: str, model, matrix: np.ndarray):
+        """The probabilities of one batch, as ``(output, split)``.
+
+        ``split`` is :meth:`_classify`'s timing of an in-process batch, or
+        ``None`` when the worker pool served it.
+        """
         if self.pool is not None:
             # The batch was validated (and will be cached and labelled)
             # against *this* snapshot, so the workers must serve exactly it.
@@ -668,13 +673,32 @@ class InferenceEngine:
                     if segment is not None:
                         segment.release()
                 if result is not None:
-                    return result
+                    return result, None
             # Refused snapshot (token and segment both stale), pool
             # breakage, or a reload that beat the queue: the batch is
             # served in-process — visible in the pool-utilisation metrics
             # as a fallback.
             self.metrics.record_pool_fallback()
-        return model.predict_proba(matrix)
+        return self._classify(model, matrix)
+
+    @staticmethod
+    def _classify(model, matrix: np.ndarray, members: "list | None" = None):
+        """Serve a batch in process, timing pdf materialisation apart from descent.
+
+        Returns ``(output, (wall start, materialise seconds, descend
+        seconds))``: materialise turns the rows into a store-backed dataset,
+        descend classifies it (the member-vote stack when ``members`` is
+        given).  The output is the bits ``predict_proba(matrix)`` (or
+        ``member_votes(matrix, members)``) returns.
+        """
+        start_wall, start = time.time(), time.perf_counter()
+        dataset = model._coerce_eval(matrix)
+        materialised = time.perf_counter()
+        if members is None:
+            output = model.predict_proba(dataset)
+        else:
+            output = model.member_votes(dataset, members=members)
+        return output, (start_wall, materialised - start, time.perf_counter() - materialised)
 
     def _drop_cancelled_head(self) -> None:
         """Discard cancelled entries at the queue head (locked).
@@ -728,17 +752,20 @@ class InferenceEngine:
                 assembled_perf = time.perf_counter()
                 invoke_wall = time.time()
                 if batch_key is None:
-                    output = self._invoke(name, model, matrix)
+                    output, split = self._invoke(name, model, matrix)
                 else:
                     # A member-vote batch: one stacked classification for
                     # the shared member subset, split per request along the
                     # rows axis (axis 1 of the (members, rows, classes)
                     # stack).  Row independence keeps the split exact.
-                    output = model.member_votes(matrix, members=list(batch_key[1]))
+                    output, split = self._classify(model, matrix, list(batch_key[1]))
                 inference_s = time.perf_counter() - assembled_perf
                 self.metrics.record_batch(matrix.shape[0], model=name)
                 self.metrics.record_stage("batch_wait", name, assembled_perf - linger_perf)
                 self.metrics.record_stage("inference", name, inference_s)
+                if split is not None:
+                    self.metrics.record_stage("materialise", name, split[1])
+                    self.metrics.record_stage("descend", name, split[2])
                 offset = 0
                 for pending in taken:
                     count = len(pending.rows)
@@ -767,13 +794,21 @@ class InferenceEngine:
                             model=name,
                             tags={"batch_rows": batch_rows, "n_requests": len(taken)},
                         )
-                        trace.record(
+                        inference_id = trace.record(
                             "inference",
                             start_s=invoke_wall,
                             duration_s=inference_s,
                             model=name,
                             tags={"batch_rows": batch_rows, "votes": batch_key is not None},
                         )
+                        if split is not None:
+                            start_wall, materialise_s, descend_s = split
+                            trace.record("materialise", start_s=start_wall,
+                                         duration_s=materialise_s, model=name,
+                                         parent_id=inference_id)
+                            trace.record("descend", start_s=start_wall + materialise_s,
+                                         duration_s=descend_s, model=name,
+                                         parent_id=inference_id)
             except BaseException as exc:  # noqa: BLE001 - delivered to callers
                 for pending in taken:
                     pending.error = exc

@@ -551,7 +551,8 @@ class ServingMetrics:
         self._stage_latency = registry.histogram(
             "repro_stage_latency_seconds",
             "Per-stage serving latency (seconds): queue_wait, batch_wait, "
-            "inference — the same stages the trace spans carry.",
+            "inference and, for in-process batches, its materialise and "
+            "descend parts — the same stages the trace spans carry.",
             ("stage", "model"),
             buckets=LATENCY_BUCKETS,
         )
@@ -596,8 +597,10 @@ class ServingMetrics:
 
         Stages mirror the replica-side trace spans — ``queue_wait`` (enqueue
         to batch claim), ``batch_wait`` (coalescer linger + assembly) and
-        ``inference`` (the model invocation) — so a histogram regression and
-        a slow trace point at the same place.  No legacy JSON slot: the
+        ``inference`` (the model invocation), which an in-process batch
+        splits into ``materialise`` (rows to a store-backed dataset) and
+        ``descend`` (the classification) — so a histogram regression and a
+        slow trace point at the same place.  No legacy JSON slot: the
         ``snapshot()`` byte-compatibility contract stays untouched.
         """
         self._stage_latency.observe_labels(

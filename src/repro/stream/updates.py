@@ -168,21 +168,6 @@ class TreeUpdater:
                 report.n_resplits += 1
         return report
 
-    def accumulated_tuples(self, leaf: LeafNode) -> list[UncertainTuple]:
-        """The fractional tuples buffered at ``leaf`` since it was created.
-
-        This is exactly the dataset a triggered re-split builds the
-        replacement subtree from; the bit-identity property test rebuilds
-        from it independently and compares structure signatures.
-        """
-        state = self._states.get(id(leaf))
-        return list(state.buffer) if state is not None else []
-
-    def leaf_depth(self, leaf: LeafNode) -> int | None:
-        """Depth at which ``leaf`` currently sits (``None`` if never routed to)."""
-        state = self._states.get(id(leaf))
-        return state.depth if state is not None else None
-
     def subtree_builder(self, depth: int) -> TreeBuilder:
         """The builder a re-split at ``depth`` uses for its fresh subtree.
 

@@ -12,6 +12,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -185,8 +186,8 @@ def test_overload_sheds_with_429_over_real_sockets(model_dir):
 
     The server coalescer lingers up to 400 ms for a 64-row batch while other
     requests are still being admitted, and the queue only admits 4 rows, so
-    16 concurrent single-row clients (arriving together) get rejections: at
-    most 4 are queued, the rest are shed at enqueue time.
+    16 concurrent single-row clients (released together through a barrier)
+    get rejections: at most 4 are queued, the rest are shed at enqueue time.
     """
     offline = load_model(model_dir / "smoke.zip")
     rows = np.random.default_rng(53).normal(size=(16, 3))
@@ -199,8 +200,10 @@ def test_overload_sheds_with_429_over_real_sockets(model_dir):
         "--cache-size", "0",
     ) as url:
         client = ServingClient(url)
+        arrive_together = threading.Barrier(len(rows))
 
         def one_row(index: int):
+            arrive_together.wait(timeout=30.0)
             started = time.perf_counter()
             try:
                 result = client.predict("smoke", rows[index])

@@ -83,6 +83,40 @@ def test_sampled_predict_produces_full_span_tree(traced_server, serving_rows):
     assert by_name["inference"]["tags"]["batch_rows"] >= 4
 
 
+def _stage_sums(url: str) -> "dict[str, tuple[float, float]]":
+    """``{stage: (count, sum)}`` of the demo model's stage histogram."""
+    request = urllib.request.Request(f"{url}/metrics", headers={"Accept": "text/plain"})
+    with urllib.request.urlopen(request, timeout=10.0) as response:
+        text = response.read().decode("utf-8")
+    stages: "dict[str, list[float]]" = {}
+    for line in text.splitlines():
+        for field, slot in (("_count{", 0), ("_sum{", 1)):
+            prefix = f"repro_stage_latency_seconds{field}"
+            if line.startswith(prefix) and 'model="demo"' in line:
+                stage = line.split('stage="', 1)[1].split('"', 1)[0]
+                stages.setdefault(stage, [0.0, 0.0])[slot] = float(line.rsplit(" ", 1)[1])
+    return {stage: (count, total) for stage, (count, total) in stages.items()}
+
+
+def test_in_process_inference_splits_into_materialise_and_descend(
+    traced_server, serving_rows
+):
+    headers, _ = _post_predict(traced_server.url, serving_rows[:4].tolist())
+    payload = _wait_for_trace(traced_server.url, headers[TRACE_ID_HEADER])
+    by_name = {span["name"]: span for span in payload["traces"][0]["spans"]}
+    inference = by_name["inference"]
+    materialise, descend = by_name["materialise"], by_name["descend"]
+    # Both parts are children of the inference span and fit inside it.
+    assert materialise["parent_id"] == inference["span_id"]
+    assert descend["parent_id"] == inference["span_id"]
+    assert materialise["duration_ms"] + descend["duration_ms"] <= inference["duration_ms"]
+    assert descend["start_s"] >= materialise["start_s"]
+
+    stages = _stage_sums(traced_server.url)
+    assert stages["materialise"][0] == stages["descend"][0] == stages["inference"][0] == 1
+    assert stages["materialise"][1] + stages["descend"][1] <= stages["inference"][1]
+
+
 def test_cache_hit_recorded_as_cache_lookup_span(traced_server, serving_rows):
     rows = serving_rows[:2].tolist()
     _post_predict(traced_server.url, rows)

@@ -126,7 +126,7 @@ class TestSnapshotPinning:
             os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns + 10_000_000))
             # The snapshot token no longer matches the file: _invoke must
             # refuse the pool and classify with the snapshot object.
-            result = engine._invoke("demo", model, np.asarray(serving_rows, dtype=float))
+            result, _ = engine._invoke("demo", model, np.asarray(serving_rows, dtype=float))
         finally:
             engine.close()
         assert np.array_equal(result, expected)
@@ -147,6 +147,19 @@ class TestEngineIntegration:
         ) as engine:
             result = engine.predict_proba("demo", serving_rows)
         assert np.array_equal(result, expected)
+
+    def test_pool_batches_record_inference_only(self, model_dir, serving_rows):
+        # Materialise and descend happen inside the workers, so a pooled
+        # batch records the inference stage alone.
+        registry = ModelRegistry(model_dir)
+        with InferenceEngine(
+            registry, max_batch=64, cache_size=0, pool=WorkerPool(1, min_shard_rows=4)
+        ) as engine:
+            engine.predict_proba("demo", serving_rows)
+            stages = {values[0] for values, _ in engine.metrics._stage_latency.children()}
+            assert engine.metrics._pool_fallbacks.total() == 0
+        assert "inference" in stages
+        assert not stages & {"materialise", "descend"}
 
     def test_concurrent_coalesced_requests_through_pool(
         self, model_dir, offline_model, serving_rows

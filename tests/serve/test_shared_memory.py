@@ -219,7 +219,7 @@ class TestWorkerAttachment:
             assert segment is not None
             segment.release()
             (model_dir / "demo.zip").unlink()
-            result = engine._invoke(
+            result, _ = engine._invoke(
                 "demo", model, np.asarray(serving_rows, dtype=float)
             )
             assert np.array_equal(result, offline_model.predict_proba(serving_rows))
