@@ -64,12 +64,6 @@ __all__ = ["ColumnarPdfStore", "ColumnarNodeView"]
 #: Pdf kinds for which end points are the only split candidates (Theorem 3).
 _UNIFORM_KINDS = ("uniform", "point")
 
-#: ``split_numerical`` counts a column of at most this many samples (a served
-#: row, a small batch) with one prefix sum over the whole column: at that
-#: size the prefix sum's few NumPy calls cost less than sizing the node and
-#: gathering its live samples.
-_SMALL_COLUMN = 2048
-
 
 def _gather_ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
     """Flat indices covering every ``[starts[i], stops[i])`` range, in order.
@@ -904,15 +898,16 @@ class ColumnarPdfStore:
         lengths = stops - starts
 
         # Per-tuple count of live sample positions <= z (each tuple's segment
-        # is sorted).  A small column, or a node holding at least half of the
-        # column's samples, takes one prefix sum over the whole column; a
-        # smaller node compares only its own live samples and sums them per
-        # range, so its cost follows the node, not the column.  reduceat
-        # needs every live range non-empty, and each is: a pdf has at least
-        # one sample, and a child keeps a tuple only when its side holds a
-        # positive share of it.
-        size = column.values.size
-        if size <= _SMALL_COLUMN or 2 * int(lengths.sum()) >= size:
+        # is sorted).  A node holding at least half of the store's tuples
+        # (every root, and every node of a single row) takes one prefix sum
+        # over the whole column; a smaller node compares only its own live
+        # samples and sums them per range, so its cost follows the node, not
+        # the column.  The rule reads tuple counts, not sample counts: summing
+        # the live lengths on every call made single-row prediction 2-3 %
+        # slower.  reduceat needs every live range non-empty, and each is: a
+        # pdf has at least one sample, and a child keeps a tuple only when its
+        # side holds a positive share of it.
+        if 2 * view.n_tuples >= self.n_tuples:
             below = np.cumsum(column.values <= split_point)
             counts = below[stops - 1] - np.where(starts > 0, below[np.maximum(starts - 1, 0)], 0)
         else:

@@ -13,7 +13,8 @@ contract by duck typing — no scikit-learn import is required anywhere:
   library's :class:`~repro.core.dataset.UncertainDataset` objects or plain
   2-D arrays; arrays are converted through the estimator's declarative
   ``spec`` (see :mod:`repro.api.spec`), with pdf widths scaled by the
-  *training* value ranges so test-time transforms match training;
+  *training* value ranges so test-time transforms match training, and
+  ``as_dataset`` returns the dataset the predict methods read for an input;
 * the fitted state follows sklearn naming: ``classes_``,
   ``n_features_in_``, ``feature_extents_``, ``tree_``, ``build_stats_``.
 
@@ -189,7 +190,16 @@ class BaseTreeEstimator(ParamsMixin):
             f"{n_features} features seen during fit; pass a 2-D array"
         )
 
-    def _coerce_eval(self, X) -> UncertainDataset:
+    def as_dataset(self, X) -> UncertainDataset:
+        """``X`` as the uncertain dataset the predict methods read.
+
+        Rows are materialised as pdfs through ``spec``, with the extents and
+        names recorded at fit, into a store-backed dataset; a dataset comes
+        back as it is.  The predict methods give the same bits for the result
+        as for ``X``, so rows predicted more than once are materialised once.
+        Any test-time preparation (AVG's reduction of every pdf to its mean)
+        stays in the predict methods.
+        """
         from repro.api.spec import build_dataset
 
         if isinstance(X, UncertainDataset):
@@ -324,7 +334,7 @@ class BaseTreeEstimator(ParamsMixin):
         tree = self._require_tree()
         if isinstance(X, UncertainTuple):
             return tree.predict(self._prepare_tuple(X))
-        dataset = self._prepare_eval(self._coerce_eval(X))
+        dataset = self._prepare_eval(self.as_dataset(X))
         return np.asarray(tree.predict_dataset(dataset))
 
     def predict_proba(self, X) -> np.ndarray:
@@ -332,7 +342,7 @@ class BaseTreeEstimator(ParamsMixin):
         tree = self._require_tree()
         if isinstance(X, UncertainTuple):
             return tree.classify(self._prepare_tuple(X))
-        dataset = self._prepare_eval(self._coerce_eval(X))
+        dataset = self._prepare_eval(self.as_dataset(X))
         return tree.classify_dataset(dataset)
 
     def predict_batch(self, X) -> list:
@@ -343,12 +353,12 @@ class BaseTreeEstimator(ParamsMixin):
         through the estimator's ``spec`` exactly like :meth:`predict`.
         """
         tree = self._require_tree()
-        return tree.predict_dataset(self._prepare_eval(self._coerce_eval(X)))
+        return tree.predict_dataset(self._prepare_eval(self.as_dataset(X)))
 
     def predict_proba_batch(self, X) -> np.ndarray:
         """Class-probability matrix for a whole dataset or array."""
         tree = self._require_tree()
-        return tree.classify_batch(self._prepare_eval(self._coerce_eval(X)))
+        return tree.classify_batch(self._prepare_eval(self.as_dataset(X)))
 
     def score(self, X, y: Sequence[Hashable] | None = None) -> float:
         """Accuracy against ``y`` (arrays) or the dataset's own labels."""
@@ -361,7 +371,7 @@ class BaseTreeEstimator(ParamsMixin):
             if y is None:
                 raise DatasetError("score(X, y) on arrays requires class labels y")
             labels = list(y)
-        dataset = self._coerce_eval(X)
+        dataset = self.as_dataset(X)
         if not len(dataset):
             raise TreeError("cannot compute accuracy on an empty dataset")
         if len(labels) != len(dataset):

@@ -531,7 +531,7 @@ class BaseForestClassifier(BaseTreeEstimator):
         """
         self._check_fitted()
         selected = self._resolve_members(members)
-        dataset = self._prepare_eval(self._coerce_eval(X))
+        dataset = self._prepare_eval(self.as_dataset(X))
         n_classes = len(self._class_label_values)
         if not selected:
             return np.zeros((0, len(dataset), n_classes))
@@ -586,14 +586,14 @@ class BaseForestClassifier(BaseTreeEstimator):
         """Soft-voted class probabilities (mean of the member trees' votes)."""
         if isinstance(X, UncertainTuple):
             return self._classify_tuple(X)
-        return self._classify_dataset(self._prepare_eval(self._coerce_eval(X)))
+        return self._classify_dataset(self._prepare_eval(self.as_dataset(X)))
 
     def predict(self, X):
         """Predicted labels: argmax of the soft vote over ``classes_``."""
         if isinstance(X, UncertainTuple):
             probabilities = self._classify_tuple(X)
             return self._class_label_values[int(np.argmax(probabilities))]
-        probabilities = self._classify_dataset(self._prepare_eval(self._coerce_eval(X)))
+        probabilities = self._classify_dataset(self._prepare_eval(self.as_dataset(X)))
         return np.asarray(self._labels_for(probabilities))
 
     def predict_batch(self, X) -> list:
@@ -602,7 +602,7 @@ class BaseForestClassifier(BaseTreeEstimator):
 
     def predict_proba_batch(self, X) -> np.ndarray:
         """Class-probability matrix for a whole dataset or array."""
-        return self._classify_dataset(self._prepare_eval(self._coerce_eval(X)))
+        return self._classify_dataset(self._prepare_eval(self.as_dataset(X)))
 
 
 class UDTForestClassifier(BaseForestClassifier):

@@ -686,13 +686,15 @@ class InferenceEngine:
         """Serve a batch in process, timing pdf materialisation apart from descent.
 
         Returns ``(output, (wall start, materialise seconds, descend
-        seconds))``: materialise turns the rows into a store-backed dataset,
-        descend classifies it (the member-vote stack when ``members`` is
-        given).  The output is the bits ``predict_proba(matrix)`` (or
-        ``member_votes(matrix, members)``) returns.
+        seconds))``: materialise is the model's ``as_dataset`` (rows to a
+        store-backed dataset), descend classifies that dataset (the
+        member-vote stack when ``members`` is given), AVG's reduction of
+        every pdf to its mean included.  The output is the bits
+        ``predict_proba(matrix)`` (or ``member_votes(matrix, members)``)
+        returns.
         """
         start_wall, start = time.time(), time.perf_counter()
-        dataset = model._coerce_eval(matrix)
+        dataset = model.as_dataset(matrix)
         materialised = time.perf_counter()
         if members is None:
             output = model.predict_proba(dataset)

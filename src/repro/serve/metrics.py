@@ -599,8 +599,9 @@ class ServingMetrics:
         to batch claim), ``batch_wait`` (coalescer linger + assembly) and
         ``inference`` (the model invocation), which an in-process batch
         splits into ``materialise`` (rows to a store-backed dataset) and
-        ``descend`` (the classification) — so a histogram regression and a
-        slow trace point at the same place.  No legacy JSON slot: the
+        ``descend`` (the classification, which for an AVG model includes
+        the reduction of every pdf to its mean) — so a histogram regression
+        and a slow trace point at the same place.  No legacy JSON slot: the
         ``snapshot()`` byte-compatibility contract stays untouched.
         """
         self._stage_latency.observe_labels(

@@ -18,12 +18,12 @@ import warnings
 import numpy as np
 import pytest
 
-from repro import UDTClassifier
+from repro import AveragingClassifier, UDTClassifier
 from repro.api import build_dataset, categorical, gaussian, point, samples, uniform
 from repro.core import CategoricalDistribution, SampledPdf, UncertainDataset, UncertainTuple
 from repro.core.columnar import ColumnarPdfStore, _AttributeColumn
 from repro.core.pdf import _linspace_rows
-from repro.ensemble import UDTForestClassifier
+from repro.ensemble import AveragingForestClassifier, UDTForestClassifier
 from repro.exceptions import PdfError
 
 
@@ -219,6 +219,27 @@ class TestOnePath:
         forest.predict_proba(rows[:17])
         forest.member_votes(rows[:5])
         assert tuples == []
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: UDTClassifier(spec=MIXED_SPEC),
+            lambda: AveragingClassifier(spec=MIXED_SPEC),
+            lambda: UDTForestClassifier(spec=MIXED_SPEC, n_estimators=3, random_state=0),
+            lambda: AveragingForestClassifier(spec=MIXED_SPEC, n_estimators=3, random_state=0),
+        ],
+        ids=["UDT", "AVG", "UDT-forest", "AVG-forest"],
+    )
+    def test_as_dataset_predicts_the_bits_of_the_rows(self, make):
+        rows, y = _mixed_table()
+        model = make().fit(rows, y)
+        dataset = model.as_dataset(rows[:17])
+        assert dataset._columnar_store is not None
+        assert model.as_dataset(dataset) is dataset
+        assert model.predict_proba(dataset).tobytes() == model.predict_proba(rows[:17]).tobytes()
+        if hasattr(model, "member_votes"):
+            assert model.member_votes(dataset, members=[2, 0]).tobytes() == model.member_votes(
+                rows[:17], members=[2, 0]).tobytes()
 
     def test_number_columns_of_mixed_tables_make_no_pdf_objects(self, monkeypatch):
         rows, y = _mixed_table()

@@ -108,7 +108,7 @@ class TestBagging:
     def test_soft_vote_is_mean_of_member_votes(self, arrays):
         X, y = arrays
         forest = small_forest(n_estimators=3, feature_subsample=None).fit(X, y)
-        dataset = forest._prepare_eval(forest._coerce_eval(X[:7]))
+        dataset = forest._prepare_eval(forest.as_dataset(X[:7]))
         member_votes = [tree.classify_batch(dataset) for tree in forest.trees_]
         expected = (member_votes[0] + member_votes[1] + member_votes[2]) / 3
         assert np.array_equal(forest.predict_proba(X[:7]), expected)

@@ -2,9 +2,9 @@
 
 :meth:`~repro.core.columnar.ColumnarPdfStore.split_numerical` counts each
 tuple's live samples at or below the split point over the whole column when
-the column is small or the node holds at least half of its samples, and
-over the node's own live ranges otherwise; views map each live sample to its tuple's position with a
-dense lookup.  Neither may change a value: the reference here counts with
+the node holds at least half of the store's tuples, and over the node's own
+live ranges otherwise; views map each live sample to its tuple's position
+with a dense lookup.  Neither may change a value: the reference here counts with
 one prefix sum over the whole column at every node, maps positions with a
 binary search, and sorts every child's live samples afresh.  The
 stores are ragged — a ``samples`` column with unequal sample counts, a
@@ -19,7 +19,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.api import build_dataset, categorical, gaussian, samples
-from repro.core.columnar import _SMALL_COLUMN, ColumnarPdfStore
+from repro.core.columnar import ColumnarPdfStore
 
 #: Store attributes: gaussian rows, samples, narrow support, categorical.
 _GAUSSIAN, _SAMPLES, _NARROW, _CATEGORY = range(4)
@@ -111,10 +111,7 @@ def _check_view(store, view) -> None:
 
 def _check_split(store, view, attribute_index, split_point, weight_eps, sides_seen):
     """Split like the engine and the reference; return the engine's children."""
-    row = store.row_of(attribute_index)
-    live = int((view.stops[row] - view.starts[row]).sum())
-    size = store.columns[attribute_index].values.size
-    sides_seen.add(size <= _SMALL_COLUMN or 2 * live >= size)
+    sides_seen.add(2 * view.n_tuples >= store.n_tuples)
     children = store.split_numerical(view, attribute_index, split_point, weight_eps=weight_eps)
     for child, reference in zip(children, _reference_split(
             store, view, attribute_index, split_point, weight_eps)):
@@ -155,19 +152,21 @@ _STEP = st.tuples(
 def test_split_numerical_matches_a_whole_column_prefix_sum(
     seed, n_rows, extra_samples, weight_eps, steps
 ):
-    # The gaussian column is just past the small-column size, so the size
-    # rule reads its nodes; the other numerical columns stay small.
-    store, class_labels = _ragged_store(seed, n_rows, _SMALL_COLUMN // n_rows + 1 + extra_samples)
+    store, class_labels = _ragged_store(seed, n_rows, 8 + extra_samples)
     root = store.root_view()
     store.build_contexts(root, class_labels)  # the root's sorted order
     _check_view(store, root)
     sides_seen: set = set()
 
-    # The root holds its whole column (the prefix-sum side); its left child
-    # at the lower quartile holds under half of it (the node's own ranges).
-    view, _ = _check_split(
-        store, root, _GAUSSIAN, _split_point(store, root, _GAUSSIAN, 0.25), weight_eps, sides_seen
-    )
+    # The root holds every tuple (the prefix-sum side).  Left children at
+    # the lower quartile hold ever fewer, until one holds under half of the
+    # store's tuples (the node's own ranges).
+    view = root
+    for _ in range(12):
+        if 2 * view.n_tuples < store.n_tuples:
+            break
+        view, _ = _check_split(store, view, _GAUSSIAN, _split_point(store, view, _GAUSSIAN, 0.25),
+                               weight_eps, sides_seen)
     _check_split(store, view, _GAUSSIAN, _split_point(store, view, _GAUSSIAN, 0.5),
                  weight_eps, sides_seen)
     assert sides_seen == {True, False}

@@ -8,8 +8,11 @@ import time
 import urllib.error
 import urllib.request
 
+import numpy as np
 import pytest
 
+from repro.api import AveragingClassifier, load_model
+from repro.api.spec import gaussian
 from repro.obs.trace import (
     SAMPLED_HEADER,
     TRACE_ID_HEADER,
@@ -18,17 +21,42 @@ from repro.obs.trace import (
 from repro.serve import ServingClient, create_server
 
 
-@pytest.fixture
-def traced_server(model_dir):
-    """A serving instance sampling every request."""
+def _traced(directory):
+    """A serving instance over ``directory`` sampling every request."""
     server = create_server(
-        model_dir, port=0, max_wait_ms=1.0, trace_sample_rate=1.0
+        directory, port=0, max_wait_ms=1.0, trace_sample_rate=1.0
     )
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     yield server
     server.close()
     thread.join(timeout=5.0)
+
+
+@pytest.fixture
+def traced_server(model_dir):
+    """A serving instance sampling every request."""
+    yield from _traced(model_dir)
+
+
+@pytest.fixture(params=["UDT", "AVG"])
+def served_dir(request, model_dir, tmp_path, serving_rows):
+    """The UDT demo model, or an AVG model fitted on the serving rows."""
+    if request.param == "UDT":
+        return model_dir
+    directory = tmp_path / "avg"
+    directory.mkdir()
+    labels = np.where(serving_rows[:, 0] + serving_rows[:, 2] > 0, "pos", "neg")
+    AveragingClassifier(spec=gaussian(w=0.1, s=8)).fit(serving_rows, labels).save(
+        directory / "demo.zip"
+    )
+    return directory
+
+
+@pytest.fixture
+def split_server(served_dir):
+    """A serving instance over ``served_dir`` sampling every request."""
+    yield from _traced(served_dir)
 
 
 def _post_predict(url: str, rows, extra_headers=None):
@@ -99,10 +127,15 @@ def _stage_sums(url: str) -> "dict[str, tuple[float, float]]":
 
 
 def test_in_process_inference_splits_into_materialise_and_descend(
-    traced_server, serving_rows
+    split_server, served_dir, serving_rows
 ):
-    headers, _ = _post_predict(traced_server.url, serving_rows[:4].tolist())
-    payload = _wait_for_trace(traced_server.url, headers[TRACE_ID_HEADER])
+    # For the AVG model, descend includes the reduction of every pdf to its
+    # mean; either way the served rows are the offline bits.
+    rows = serving_rows[:4]
+    headers, body = _post_predict(split_server.url, rows.tolist())
+    offline = load_model(served_dir / "demo.zip").predict_proba(rows)
+    assert np.array_equal(np.asarray(body["probabilities"]), offline)
+    payload = _wait_for_trace(split_server.url, headers[TRACE_ID_HEADER])
     by_name = {span["name"]: span for span in payload["traces"][0]["spans"]}
     inference = by_name["inference"]
     materialise, descend = by_name["materialise"], by_name["descend"]
@@ -112,7 +145,7 @@ def test_in_process_inference_splits_into_materialise_and_descend(
     assert materialise["duration_ms"] + descend["duration_ms"] <= inference["duration_ms"]
     assert descend["start_s"] >= materialise["start_s"]
 
-    stages = _stage_sums(traced_server.url)
+    stages = _stage_sums(split_server.url)
     assert stages["materialise"][0] == stages["descend"][0] == stages["inference"][0] == 1
     assert stages["materialise"][1] + stages["descend"][1] <= stages["inference"][1]
 
